@@ -12,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/bivalence.h"
-#include "analysis/parallel_explorer.h"
+#include "analysis/explore.h"
 #include "bench_json.h"
 #include "obs/registry.h"
 #include "processes/relay_consensus.h"

@@ -55,15 +55,6 @@ class AnalysisMemo {
   // Intern `a` into the pool (idempotent) and return its index. Indices
   // are assigned in first-intern order and never change.
   std::uint32_t internAction(const ioa::Action& a);
-  // Bulk form: resolve `n` actions IN ORDER, writing pool indices to
-  // `ids`. First-intern order is exactly that of n sequential
-  // internAction calls; the batch exists so hashes can be precomputed and
-  // the next probe's home slot prefetched while the current action
-  // compares (the pipelined installer resolves a whole edge run per
-  // call). Duplicate pointers within a batch are fine (intern is
-  // idempotent).
-  void internActionBatch(const ioa::Action* const* acts, std::uint32_t* ids,
-                         std::size_t n);
   const ioa::Action& actionAt(std::uint32_t idx) const { return pool_[idx]; }
   // Distinct actions interned so far, across every graph that shared this
   // memo (a graph's edges reference a prefix-closed subset).
@@ -84,7 +75,6 @@ class AnalysisMemo {
   };
 
   void growTable(std::size_t newCap);
-  std::uint32_t internActionHashed(const ioa::Action& a, std::size_t h);
 
   const ioa::System& sys_;
   // Slot hash-consing; single-writer (see the lease contract above).
@@ -97,8 +87,6 @@ class AnalysisMemo {
   std::deque<ioa::Action> pool_;
   std::vector<Slot> table_;
   std::size_t count_ = 0;
-  // internActionBatch scratch (hash pre-pass), reused across calls.
-  std::vector<std::size_t> batchHash_;
 };
 
 }  // namespace boosting::analysis

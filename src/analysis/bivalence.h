@@ -42,12 +42,8 @@ struct BivalenceResult {
 ioa::SystemState canonicalInitialization(const ioa::System& sys,
                                          int onesPrefix);
 
-// Classify the n+1 canonical initializations. The scan is embarrassingly
-// parallel: with policy.threads > 1 ALL regions are expanded by one shared
-// work-stealing phase (they are near-disjoint, since process states record
-// their inputs) and then installed region by region in the serial order,
-// so node numbering, valences and the returned outcome are identical to
-// the default serial scan.
+// Classify the n+1 canonical initializations, alpha_0 first; each region
+// is explored by `va` under the policy the caller set on it.
 BivalenceResult findBivalentInitialization(StateGraph& g, ValenceAnalyzer& va,
                                            const ExplorationPolicy& policy = {});
 

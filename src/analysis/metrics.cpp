@@ -47,16 +47,14 @@ std::uint64_t currentRssBytes() {
 }
 
 void flushTransitionCacheMetrics(obs::Registry* reg,
-                                 const TransitionCache::Stats& stats,
-                                 const char* prefix) {
+                                 const TransitionCache::Stats& stats) {
   if (!reg) return;
-  const std::string p = std::string("cache.") + prefix;
-  reg->add(p + "enabled_lookups", stats.enabledLookups);
-  reg->add(p + "enabled_hits", stats.enabledHits);
-  reg->add(p + "enabled_misses", stats.enabledMisses);
-  reg->add(p + "apply_lookups", stats.applyLookups);
-  reg->add(p + "apply_hits", stats.applyHits);
-  reg->add(p + "apply_misses", stats.applyMisses);
+  reg->add("cache.enabled_lookups", stats.enabledLookups);
+  reg->add("cache.enabled_hits", stats.enabledHits);
+  reg->add("cache.enabled_misses", stats.enabledMisses);
+  reg->add("cache.apply_lookups", stats.applyLookups);
+  reg->add("cache.apply_hits", stats.applyHits);
+  reg->add("cache.apply_misses", stats.applyMisses);
 }
 
 void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {

@@ -35,12 +35,9 @@ std::uint64_t peakRssBytes();
 // responds to memory the phase actually released or avoided allocating.
 std::uint64_t currentRssBytes();
 
-// cache.<prefix>enabled_lookups|hits|misses and apply_* for an arbitrary
-// cache (the graph flush uses an empty prefix; workers report through
-// the parallel explorer instead).
+// cache.enabled_lookups|hits|misses and apply_* of a transition cache.
 void flushTransitionCacheMetrics(obs::Registry* reg,
-                                 const TransitionCache::Stats& stats,
-                                 const char* prefix = "");
+                                 const TransitionCache::Stats& stats);
 
 // state.copies / state.slot_clones / state.slot_hashes from a delta of
 // ioa::statePerfSnapshot() taken around the measured phase.

@@ -246,15 +246,6 @@ bool SpilledFrontier::pop(std::uint64_t* out) {
   return true;
 }
 
-void SpilledFrontier::clear() {
-  head_.clear();
-  tail_.clear();
-  segOffsets_.clear();
-  freeOffsets_.clear();
-  diskEntries_ = 0;
-  fileTail_ = 0;
-}
-
 void SpilledFrontier::spillOneSegment() {
 #if defined(BOOSTING_PAGER_POSIX)
   if (fd_ < 0) fd_ = openUnlinkedSpillFile(dir_);

@@ -21,8 +21,7 @@
 //
 // Correctness never depends on canonicality: a non-canonical (but
 // immutable) slot pointer only causes a memo miss and a recomputation.
-// The cache is NOT thread-safe; concurrent engines give each worker its
-// own cache over the shared (striped) SlotCanonTable.
+// The cache is NOT thread-safe: one exploration uses it at a time.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/hashing.h"
 
@@ -184,29 +182,10 @@ std::string SystemState::str() const {
   return out;
 }
 
-struct SlotCanonTable::Stripe {
-  std::mutex m;
-  // key (mixed slot index + slot hash) -> representatives with that key.
-  // The chain is almost always a single entry; longer chains only on slot
-  // hash collisions.
-  std::unordered_map<std::size_t,
-                     std::vector<std::shared_ptr<const AutomatonState>>>
-      byKey;
-};
-
-SlotCanonTable::SlotCanonTable(bool concurrent)
-    : concurrent_(concurrent), stripes_(concurrent ? 64 : 1) {}
-
-SlotCanonTable::~SlotCanonTable() = default;
-
 std::shared_ptr<const AutomatonState> SlotCanonTable::canonicalizeSlot(
     std::size_t slot, std::shared_ptr<const AutomatonState> probe,
     std::size_t probeHash) {
-  const std::size_t key = slotMix(slot, probeHash);
-  Stripe& st = stripes_[concurrent_ ? (key & (stripes_.size() - 1)) : 0];
-  std::unique_lock<std::mutex> lock(st.m, std::defer_lock);
-  if (concurrent_) lock.lock();
-  auto& chain = st.byKey[key];
+  auto& chain = byKey_[slotMix(slot, probeHash)];
   for (const auto& rep : chain) {
     if (rep.get() == probe.get() || rep->equals(*probe)) return rep;
   }
@@ -293,8 +272,8 @@ SystemState System::initialState() const {
 }
 
 // Rebuilt eagerly on every addProcess/addService so that allTasks() is a
-// pure read: concurrent analysis workers may call it (and enabled()/
-// apply()) on a fully built system without synchronization.
+// pure read: concurrent callers may use it (and enabled()/apply()) on a
+// fully built system without synchronization.
 void System::rebuildTaskCache() {
   taskCache_.clear();
   for (const auto& p : processes_) {

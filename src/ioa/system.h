@@ -27,8 +27,8 @@
 //
 // Sharing discipline: a slot whose cached hash is stale is never shared
 // across threads. mutablePart() detaches before invalidating, and every
-// state published to another thread (interned into a graph or the parallel
-// explorer's table) has been hash()-flushed first, so concurrent readers
+// state published to another thread (interned into a graph) has been
+// hash()-flushed first, so concurrent readers
 // only ever see clean, immutable slots (shared_ptr refcounts are atomic).
 //
 // ServiceMeta records the connection pattern J_c, the resilience level f_c,
@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ioa/automaton.h"
@@ -176,22 +177,18 @@ class SystemState final {
 
 // Slot hash-consing (maximal structural sharing): maps (slot index, slot
 // hash) to the canonical representative of that component-state content.
-// Interning engines (StateGraph, the parallel explorer's sharded table) own
-// one table per interned-state set and canonicalize() every state before
+// Interning engines (StateGraph, via its AnalysisMemo) own one table per
+// interned-state set and canonicalize() every state before
 // probing/storing it, so that equals() between two canonicalized states
 // almost always resolves through the per-slot pointer-identity fast path
 // and the deep virtual equals runs at most once per distinct slot content.
-// Also dedupes memory: equal component states are stored once.
-//
-// `concurrent = true` stripes the table with mutexes so the parallel
-// explorer's workers can canonicalize probe states concurrently; the states
-// being canonicalized are always thread-private, only the table is shared.
+// Also dedupes memory: equal component states are stored once. Not
+// synchronized: one exploration uses a table at a time.
 class SlotCanonTable {
  public:
-  explicit SlotCanonTable(bool concurrent = false);
+  SlotCanonTable() = default;
   SlotCanonTable(const SlotCanonTable&) = delete;
   SlotCanonTable& operator=(const SlotCanonTable&) = delete;
-  ~SlotCanonTable();
 
   // Flushes s's slot hashes and rewrites every non-canonical slot pointer
   // to the table's representative of equal content (registering first-seen
@@ -206,9 +203,12 @@ class SlotCanonTable {
       std::size_t probeHash);
 
  private:
-  struct Stripe;
-  bool concurrent_;
-  std::vector<Stripe> stripes_;
+  // key (mixed slot index + slot hash) -> representatives with that key.
+  // The chain is almost always a single entry; longer chains only on slot
+  // hash collisions.
+  std::unordered_map<std::size_t,
+                     std::vector<std::shared_ptr<const AutomatonState>>>
+      byKey_;
 };
 
 // How a system's process-permutation group acts on process component
@@ -257,8 +257,7 @@ class System {
   // tasks first, then service tasks grouped per service). The list is
   // rebuilt eagerly whenever a component is added, so this accessor (like
   // enabled()/apply(), which are pure over immutable automata) is safe for
-  // concurrent callers once the system is fully built -- the contract the
-  // parallel exploration engine relies on.
+  // concurrent callers once the system is fully built.
   const std::vector<TaskId>& allTasks() const { return taskCache_; }
 
   // The slot whose component owns task `t` (the only slot enabled()

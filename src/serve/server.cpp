@@ -156,6 +156,60 @@ bool extractStr(const WireObject& o, const char* key, std::string* out,
   return true;
 }
 
+}  // namespace
+
+bool parseSubmitRequest(const WireObject& req, JobSpec* spec,
+                        std::string* error) {
+  // A key this build does not know is an error, never a silent default: a
+  // client relying on a removed or misspelled option must hear about it.
+  static const char* const kKnown[] = {
+      "op",  "id",       "candidate", "n",       "f",       "claim",
+      "por", "priority", "symmetry",  "witness", "progress"};
+  for (const auto& [key, value] : req) {
+    if (std::find_if(std::begin(kKnown), std::end(kKnown),
+                     [&key](const char* k) { return key == k; }) ==
+        std::end(kKnown)) {
+      *error = "submit: unknown key '" + key + "'";
+      return false;
+    }
+  }
+  *spec = JobSpec{};
+  std::int64_t n = spec->n, f = spec->f, claim = spec->claim, priority = 0;
+  std::string symmetry = "auto", por = "auto";
+  bool ok = extractStr(req, "id", &spec->id, error) &&
+            extractStr(req, "candidate", &spec->candidate, error) &&
+            extractInt(req, "n", &n, error) &&
+            extractInt(req, "f", &f, error) &&
+            extractInt(req, "claim", &claim, error) &&
+            extractInt(req, "priority", &priority, error) &&
+            extractStr(req, "symmetry", &symmetry, error) &&
+            extractStr(req, "por", &por, error) &&
+            extractBool(req, "witness", &spec->wantWitness, error) &&
+            extractBool(req, "progress", &spec->progress, error);
+  auto parseMode = [&](const std::string& v, const char* key, auto* out,
+                       auto autoV, auto onV, auto offV) {
+    if (v == "auto") { *out = autoV; return true; }
+    if (v == "on") { *out = onV; return true; }
+    if (v == "off") { *out = offV; return true; }
+    *error = std::string(key) + ": expected auto|on|off, got '" + v + "'";
+    return false;
+  };
+  ok = ok &&
+       parseMode(symmetry, "symmetry", &spec->symmetry,
+                 analysis::SymmetryMode::Auto, analysis::SymmetryMode::On,
+                 analysis::SymmetryMode::Off) &&
+       parseMode(por, "por", &spec->por, analysis::PorMode::Auto,
+                 analysis::PorMode::On, analysis::PorMode::Off);
+  if (!ok) return false;
+  spec->n = static_cast<int>(n);
+  spec->f = static_cast<int>(f);
+  spec->claim = static_cast<int>(claim);
+  spec->priority = static_cast<int>(priority);
+  return true;
+}
+
+namespace {
+
 class Server {
  public:
   explicit Server(const ServerConfig& cfg)
@@ -316,14 +370,21 @@ class Server {
     char buf[4096];
     const ssize_t n = ::read(c->inFd, buf, sizeof buf);
     if (n > 0) {
+      // The carried-over prefix holds no newline, so only the new bytes
+      // need scanning; consumed lines are erased once, after the scan.
+      std::size_t scan = c->inBuf.size();
       c->inBuf.append(buf, static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      while ((pos = c->inBuf.find('\n')) != std::string::npos) {
-        std::string line = c->inBuf.substr(0, pos);
-        c->inBuf.erase(0, pos + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
+      std::size_t start = 0;
+      std::size_t nl;
+      while ((nl = c->inBuf.find('\n', scan)) != std::string::npos) {
+        std::string_view line(c->inBuf.data() + start, nl - start);
+        if (line.size() > kMaxRequestLineBytes) return rejectOversized(c);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
         if (!line.empty()) handleLine(c, line);
+        start = scan = nl + 1;
       }
+      c->inBuf.erase(0, start);
+      if (c->inBuf.size() > kMaxRequestLineBytes) rejectOversized(c);
       return;
     }
     if (n < 0 && errno == EINTR) return;
@@ -336,7 +397,22 @@ class Server {
     if (c->stdio) shuttingDown_ = true;
   }
 
-  void handleLine(const std::shared_ptr<Conn>& c, const std::string& line) {
+  // The input cap: answer, then stop reading. A socket is closed for good
+  // (its pending results are dropped); stdin is treated as end of input.
+  void rejectOversized(const std::shared_ptr<Conn>& c) {
+    writeLine(*c, errorEvent("request line exceeds " +
+                             std::to_string(kMaxRequestLineBytes) +
+                             " bytes; closing the connection"));
+    c->inBuf.clear();
+    c->inOpen = false;
+    if (c->stdio) {
+      shuttingDown_ = true;
+    } else {
+      c->outOpen = false;
+    }
+  }
+
+  void handleLine(const std::shared_ptr<Conn>& c, std::string_view line) {
     WireObject req;
     std::string parseErr;
     if (!parseWireObject(line, &req, &parseErr)) {
@@ -433,55 +509,10 @@ class Server {
     }
     JobSpec spec;
     std::string err;
-    std::int64_t n = spec.n, f = spec.f, claim = spec.claim,
-                 threads = spec.threads, shards = 0, priority = 0;
-    std::string symmetry = "auto", por = "auto", pipeline = "auto";
-    bool ok = extractStr(req, "id", &spec.id, &err) &&
-              extractStr(req, "candidate", &spec.candidate, &err) &&
-              extractInt(req, "n", &n, &err) &&
-              extractInt(req, "f", &f, &err) &&
-              extractInt(req, "claim", &claim, &err) &&
-              extractInt(req, "threads", &threads, &err) &&
-              extractInt(req, "shards", &shards, &err) &&
-              extractInt(req, "priority", &priority, &err) &&
-              extractStr(req, "symmetry", &symmetry, &err) &&
-              extractStr(req, "por", &por, &err) &&
-              extractStr(req, "pipeline", &pipeline, &err) &&
-              extractBool(req, "witness", &spec.wantWitness, &err) &&
-              extractBool(req, "progress", &spec.progress, &err);
-    if (ok && (threads < 0 || shards < 0)) {
-      err = threads < 0 ? "threads: must be non-negative"
-                        : "shards: must be non-negative";
-      ok = false;
-    }
-    auto parseMode = [&](const std::string& v, const char* key, auto* out,
-                         auto autoV, auto onV, auto offV) {
-      if (v == "auto") { *out = autoV; return true; }
-      if (v == "on") { *out = onV; return true; }
-      if (v == "off") { *out = offV; return true; }
-      err = std::string(key) + ": expected auto|on|off, got '" + v + "'";
-      return false;
-    };
-    ok = ok &&
-         parseMode(symmetry, "symmetry", &spec.symmetry,
-                   analysis::SymmetryMode::Auto, analysis::SymmetryMode::On,
-                   analysis::SymmetryMode::Off) &&
-         parseMode(por, "por", &spec.por, analysis::PorMode::Auto,
-                   analysis::PorMode::On, analysis::PorMode::Off) &&
-         parseMode(pipeline, "pipeline", &spec.pipeline,
-                   analysis::PipelineMode::Auto, analysis::PipelineMode::On,
-                   analysis::PipelineMode::Off);
-    if (!ok) {
+    if (!parseSubmitRequest(req, &spec, &err)) {
       writeLine(*c, errorEvent(err, id));
       return;
     }
-    spec.n = static_cast<int>(n);
-    spec.f = static_cast<int>(f);
-    spec.claim = static_cast<int>(claim);
-    spec.threads = static_cast<unsigned>(threads);
-    spec.shards = static_cast<unsigned>(shards);
-    spec.shardsExplicit = spec.shards != 0;
-    spec.priority = static_cast<int>(priority);
 
     std::shared_ptr<Conn> conn = c;
     auto onResult = [conn](const JobResult& r) {

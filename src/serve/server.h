@@ -29,13 +29,21 @@
 // implicit drain-shutdown, which makes `printf '...' | boosting_served`
 // a complete session. Closing a TCP/unix connection leaves its jobs
 // running; their results are dropped.
+//
+// A submit carrying a key the server does not know is rejected with an
+// error event naming the key. A request line longer than
+// kMaxRequestLineBytes is answered with an error event and its connection
+// is closed (on stdio: an implicit drain-shutdown, as at end of input).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/registry.h"
+#include "serve/service.h"
+#include "serve/wire.h"
 
 namespace boosting::serve {
 
@@ -65,6 +73,15 @@ struct ServerConfig {
   obs::Registry* metrics = nullptr;
   std::string metricsJsonPath;  // written on exit when non-empty
 };
+
+// Longest request line accepted, newline excluded.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
+// Map a submit request onto a JobSpec. False with a diagnostic in *error
+// when the request has a key outside the submit grammar or a mistyped
+// value; range checks are AnalysisService::submit's.
+bool parseSubmitRequest(const WireObject& req, JobSpec* spec,
+                        std::string* error);
 
 // Run the server until shutdown; returns the process exit code. Blocks the
 // calling thread (which becomes the driving thread of the service).

@@ -17,7 +17,7 @@
 // Cancellation drains through the exploration engines' abort seam
 // (ExplorationPolicy::expansionHook throwing JobCancelled), so a cancelled
 // job leaves its leased context's memo CONSISTENT -- the hook rethrow path
-// is checkConsistent-guaranteed (analysis/parallel_explorer.h) -- and the
+// is checkConsistent-guaranteed (analysis/explore.h) -- and the
 // context stays safely reusable by later jobs. The gamma/simulation phase
 // has no hook; cancellation there takes effect at the next exploration
 // checkpoint (the phase is bounded by gammaMaxSteps regardless).
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/parallel_explorer.h"
+#include "analysis/explore.h"
 #include "obs/registry.h"
 #include "serve/cache.h"
 #include "serve/scheduler.h"
@@ -48,12 +48,8 @@ struct JobSpec {
   int n = 2;
   int f = 0;
   int claim = -1;  // default: f + 1
-  unsigned threads = 1;
-  unsigned shards = 0;
-  bool shardsExplicit = false;
   analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
   analysis::PorMode por = analysis::PorMode::Auto;
-  analysis::PipelineMode pipeline = analysis::PipelineMode::Auto;
   int priority = 0;         // higher dispatches first
   bool wantWitness = false; // include the rendered witness execution
   bool progress = false;    // stream serve.job.progress events

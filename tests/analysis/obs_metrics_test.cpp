@@ -1,14 +1,12 @@
 // Observability end-to-end: the registry's counters must agree with the
-// engines' ground truth (serial == parallel discovery counts, memo
-// hits + misses == lookups, per-worker expansions summing to the states
-// actually expanded), timers must record the phases that ran, and the
-// metrics JSON export must be well formed.
+// engines' ground truth (discovery counts, memo hits + misses == lookups),
+// timers must record the phases that ran, and the metrics JSON export must
+// be well formed.
 #include "analysis/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -18,7 +16,7 @@
 
 #include "analysis/adversary.h"
 #include "analysis/bivalence.h"
-#include "analysis/parallel_explorer.h"
+#include "analysis/explore.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "processes/relay_consensus.h"
@@ -53,58 +51,44 @@ struct PipelineCounters {
 };
 
 PipelineCounters runPipeline(const ioa::System& sys, int claim,
-                             unsigned threads, obs::Registry& reg) {
+                             obs::Registry& reg) {
   AdversaryConfig cfg;
   cfg.claimedFailures = claim;
-  cfg.exploration.threads = threads;
   cfg.exploration.metrics = &reg;
   (void)analyzeConsensusCandidate(sys, cfg);
   return PipelineCounters{reg.value("graph.states_discovered"),
                           reg.value("graph.edges_discovered")};
 }
 
-TEST(ObsMetrics, SerialAndParallelDiscoveryCountersAgree) {
+TEST(ObsMetrics, DiscoveryCountersReported) {
   struct Fixture {
     std::unique_ptr<ioa::System> sys;
     int claim;
   };
   Fixture fixtures[] = {{relay(3, 1), 2}, {tob(2, 0), 1}};
   for (const auto& fx : fixtures) {
-    obs::Registry serialReg, parallelReg;
-    const PipelineCounters s = runPipeline(*fx.sys, fx.claim, 1, serialReg);
-    const PipelineCounters p = runPipeline(*fx.sys, fx.claim, 2, parallelReg);
-    EXPECT_GT(s.states, 0u);
-    EXPECT_GT(s.edges, 0u);
-    EXPECT_EQ(s.states, p.states);
-    EXPECT_EQ(s.edges, p.edges);
+    obs::Registry reg;
+    const PipelineCounters c = runPipeline(*fx.sys, fx.claim, reg);
+    EXPECT_GT(c.states, 0u);
+    EXPECT_GT(c.edges, 0u);
   }
 }
 
 TEST(ObsMetrics, CacheHitsPlusMissesEqualLookups) {
   auto sys = relay(3, 1);
-  for (unsigned threads : {1u, 2u}) {
-    obs::Registry reg;
-    runPipeline(*sys, 2, threads, reg);
-    for (const char* prefix : {"cache.", "explorer.cache."}) {
-      const std::string p(prefix);
-      EXPECT_EQ(reg.value(p + "enabled_hits") + reg.value(p + "enabled_misses"),
-                reg.value(p + "enabled_lookups"))
-          << p << " enabled memo, threads=" << threads;
-      EXPECT_EQ(reg.value(p + "apply_hits") + reg.value(p + "apply_misses"),
-                reg.value(p + "apply_lookups"))
-          << p << " apply memo, threads=" << threads;
-    }
-    // Something must actually have been counted on the path that ran.
-    const std::string active = threads == 1 ? "cache." : "explorer.cache.";
-    EXPECT_GT(reg.value(active + "enabled_lookups"), 0u)
-        << "threads=" << threads;
-  }
+  obs::Registry reg;
+  runPipeline(*sys, 2, reg);
+  EXPECT_EQ(reg.value("cache.enabled_hits") + reg.value("cache.enabled_misses"),
+            reg.value("cache.enabled_lookups"));
+  EXPECT_EQ(reg.value("cache.apply_hits") + reg.value("cache.apply_misses"),
+            reg.value("cache.apply_lookups"));
+  EXPECT_GT(reg.value("cache.enabled_lookups"), 0u);
 }
 
 TEST(ObsMetrics, PhaseTimersRecorded) {
   auto sys = relay(3, 1);
   obs::Registry reg;
-  runPipeline(*sys, 2, 1, reg);
+  runPipeline(*sys, 2, reg);
   for (const char* phase :
        {"phase.adversary", "phase.bivalence", "phase.valence",
         "phase.safety_scan", "phase.hook"}) {
@@ -114,82 +98,19 @@ TEST(ObsMetrics, PhaseTimersRecorded) {
   EXPECT_GT(reg.value("runner.runs"), 0u);
 }
 
-TEST(ObsMetrics, PerWorkerExpansionsSumToStates) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  ExplorationPolicy policy;
-  policy.threads = 2;
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  ASSERT_FALSE(stats.truncated);
-  ASSERT_EQ(stats.perWorker.size(), 2u);
-  std::uint64_t expanded = 0;
-  for (const auto& ws : stats.perWorker) expanded += ws.expanded;
-  EXPECT_EQ(expanded, stats.statesDiscovered);
-  // Graph-level stats agree with the engine's view after install.
-  EXPECT_EQ(g.stats().statesDiscovered, stats.statesDiscovered);
-  std::string why;
-  EXPECT_TRUE(g.checkConsistent(&why)) << why;
-}
-
-TEST(ObsMetrics, PipelinedExploreFlushesPipelineCountersWithBoundedWait) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  obs::Registry reg;
-  ExplorationPolicy policy;
-  policy.threads = 2;
-  policy.pipeline = PipelineMode::On;
-  policy.metrics = &reg;
-  const auto t0 = std::chrono::steady_clock::now();
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  const auto wallNs = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  ASSERT_TRUE(stats.pipeline.pipelined);
-  // Registry mirrors the engine's tallies exactly.
-  EXPECT_EQ(reg.value("explorer.pipeline.levels_overlapped"),
-            stats.pipeline.levelsOverlapped);
-  EXPECT_EQ(reg.value("explorer.pipeline.install_wait_ns"),
-            stats.pipeline.installWaitNs);
-  EXPECT_EQ(reg.value("explorer.pipeline.bulk_action_batches"),
-            stats.pipeline.bulkActionBatches);
-  // The install pump runs on one thread: its cumulative blocked time can
-  // never exceed the run's wall clock. A violation means the idle-flush /
-  // level-completion publication regressed into busy-wait double counting.
-  EXPECT_LE(stats.pipeline.installWaitNs, wallNs);
-  // Bulk pinning fires at most once per installed node, so batches are
-  // bounded by edges; and a run with edges must have pinned something.
-  EXPECT_LE(stats.pipeline.bulkActionBatches, stats.edgesComputed);
-  EXPECT_GT(stats.pipeline.bulkActionBatches, 0u);
-  EXPECT_GT(stats.edgesComputed, 0u);
-}
-
-TEST(ObsMetrics, PipelineOffReportsNoPipelineCounters) {
-  auto sys = relay(3, 1);
-  StateGraph g(*sys);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  obs::Registry reg;
-  ExplorationPolicy policy;
-  policy.threads = 2;
-  policy.pipeline = PipelineMode::Off;
-  policy.metrics = &reg;
-  const ExploreStats stats = exploreReachable(g, root, policy);
-  EXPECT_FALSE(stats.pipeline.pipelined);
-  EXPECT_EQ(reg.value("explorer.pipeline.levels_overlapped"), 0u);
-  EXPECT_EQ(reg.value("explorer.pipeline.install_wait_ns"), 0u);
-  EXPECT_EQ(reg.value("explorer.pipeline.bulk_action_batches"), 0u);
-}
-
 TEST(ObsMetrics, SerialExploreFlushesFrontierPeak) {
   auto sys = relay(3, 1);
   StateGraph g(*sys);
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   obs::Registry reg;
-  ExplorationPolicy policy;  // threads = 1
+  ExplorationPolicy policy;
   policy.metrics = &reg;
   const ExploreStats stats = exploreReachable(g, root, policy);
+  ASSERT_FALSE(stats.truncated);
+  // Graph-level stats agree with the exploration's view.
+  EXPECT_EQ(g.stats().statesDiscovered, stats.statesDiscovered);
+  std::string why;
+  EXPECT_TRUE(g.checkConsistent(&why)) << why;
   EXPECT_EQ(reg.value("explore.states_discovered"), stats.statesDiscovered);
   EXPECT_EQ(reg.value("explore.edges_computed"), stats.edgesComputed);
   EXPECT_GT(reg.value("explore.frontier_peak"), 0u);
@@ -219,7 +140,7 @@ TEST(ObsMetrics, RegistryPrimitives) {
 TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   auto sys = relay(3, 1);
   obs::Registry reg;
-  runPipeline(*sys, 2, 2, reg);
+  runPipeline(*sys, 2, reg);
   reg.derive("cache_hit_rate", 0.75);
   const std::string path =
       testing::TempDir() + "/obs_metrics_test_metrics.json";
@@ -236,7 +157,7 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
             std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['),
             std::count(doc.begin(), doc.end(), ']'));
-  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v8\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"boosting-metrics-v9\""), std::string::npos);
   EXPECT_NE(doc.find("\"tool\": \"obs_metrics_test\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"timers\""), std::string::npos);
@@ -247,7 +168,6 @@ TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   EXPECT_NE(doc.find("graph.bytes_edges"), std::string::npos);
   EXPECT_NE(doc.find("graph.bytes_index"), std::string::npos);
   EXPECT_NE(doc.find("process.peak_rss_bytes"), std::string::npos);
-  EXPECT_NE(doc.find("explorer.worker0.expanded"), std::string::npos);
 }
 
 TEST(ObsMetrics, TraceWriterEmitsOneJsonObjectPerLine) {

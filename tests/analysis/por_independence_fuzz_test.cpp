@@ -163,8 +163,8 @@ TEST(PorIndependenceFuzz, SampledReachableStatesCommute) {
 }
 
 TEST(PorIndependenceFuzz, AmpleDecisionIsAPureFunctionOfTheState) {
-  // The memoized decision must be stable across repeated queries (the
-  // parallel explorer relies on this for determinism).
+  // The memoized decision must be stable across repeated queries:
+  // exploration determinism relies on it.
   auto sys = makeFixture("relay3");
   const auto por = PorPolicy::forSystem(*sys, PorMode::On);
   ASSERT_FALSE(por->trivial());

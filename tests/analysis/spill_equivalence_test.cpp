@@ -9,13 +9,13 @@
 //      address, LRU eviction/refault accounting, failure seams are
 //      all-or-nothing) and of the spilled frontier (exact FIFO order
 //      against a plain-deque oracle under a randomized interleaving);
-//   2. graph bit-identity: unbounded vs budgeted runs across the
-//      (threads x shards) matrix, with and without symmetry/POR, with
-//      chunk geometry and frontier thresholds forced small enough that
-//      demotions, evictions, refaults and frontier segments all happen;
+//   2. graph bit-identity: unbounded vs budgeted runs, with and without
+//      symmetry/POR, with chunk geometry and frontier thresholds forced
+//      small enough that demotions, evictions, refaults and frontier
+//      segments all happen;
 //   3. fault injection via the SpillConfig seams: a failing demote or
 //      eviction aborts the exploration gracefully (exception propagates,
-//      checkConsistent holds, serial and parallel engines both), and the
+//      checkConsistent holds), and the
 //      dedicated spill directory stays empty throughout -- spill files are
 //      unlinked at creation, so nothing can leak.
 #include <gtest/gtest.h>
@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "analysis/bivalence.h"
+#include "analysis/explore.h"
 #include "analysis/pager.h"
-#include "analysis/parallel_explorer.h"
 #include "analysis/state_graph.h"
 #include "analysis/symmetry.h"
 #include "analysis/por.h"
@@ -242,23 +242,6 @@ TEST(SpilledFrontier, ThresholdZeroNeverSpills) {
   EXPECT_EQ(fifo.diskEntries(), 0u);
 }
 
-TEST(SpilledFrontier, ClearDropsMemoryAndDiskEntries) {
-  SpillDir dir;
-  SpilledFrontier fifo(4, 2, dir.path());
-  for (std::uint64_t v = 0; v < 64; ++v) fifo.push(v);
-  ASSERT_GT(fifo.diskEntries(), 0u);
-  fifo.clear();
-  EXPECT_TRUE(fifo.empty());
-  EXPECT_EQ(fifo.diskEntries(), 0u);
-  // Reusable after a clear, still FIFO.
-  fifo.push(7);
-  fifo.push(8);
-  std::uint64_t got = 0;
-  ASSERT_TRUE(fifo.pop(&got));
-  EXPECT_EQ(got, 7u);
-  EXPECT_EQ(dir.visibleFiles(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Tier 2: graph bit-identity, unbounded vs budgeted, across the matrix.
 
@@ -296,8 +279,7 @@ Explored explore(std::unique_ptr<ioa::System> sys, Mode mode,
   return r;
 }
 
-// Bit-identity of two explored graphs (the same checks the shard battery
-// runs): node numbering, states, compact edge triples, witness paths, and
+// Bit-identity of two explored graphs: node numbering, states, compact edge triples, witness paths, and
 // the action pool itself. Spilled-vs-unbounded must pass all of it.
 void expectGraphsBitIdentical(const StateGraph& gs, const StateGraph& gp,
                               const std::string& label) {
@@ -334,35 +316,10 @@ void expectGraphsBitIdentical(const StateGraph& gs, const StateGraph& gp,
   }
 }
 
-struct Cell {
-  unsigned threads;
-  unsigned shards;
-  // Auto already pipelines at threads >= 2; the explicit cells pin the
-  // pipelined-install x memory-budget composition (and the legacy
-  // barrier path) independently of the Auto heuristic.
-  PipelineMode pipeline = PipelineMode::Auto;
-};
-
-constexpr Cell kCells[] = {{1, 1},
-                           {1, 4},
-                           {2, 2},
-                           {4, 4},
-                           {2, 2, PipelineMode::On},
-                           {4, 4, PipelineMode::Off}};
-
-const char* pipeName(PipelineMode m) {
-  switch (m) {
-    case PipelineMode::Auto: return "auto";
-    case PipelineMode::On: return "on";
-    case PipelineMode::Off: return "off";
-  }
-  return "?";
-}
-
 // `expectEvictions` is false only for the sym+por fixture, whose reduced
 // graph stays within the two-chunk LRU budget; eviction traffic is covered
 // by the other modes and the Pager unit tests.
-void runSpillMatrix(std::unique_ptr<ioa::System> (*build)(), Mode mode,
+void runBudgetedVsUnbounded(std::unique_ptr<ioa::System> (*build)(), Mode mode,
                     bool expectEvictions = true) {
   SpillDir dir;
   // Unbounded reference, serial.
@@ -376,49 +333,41 @@ void runSpillMatrix(std::unique_ptr<ioa::System> (*build)(), Mode mode,
   spill.memoryBudgetBytes = 2 * 4096;
   spill.spillDir = dir.path();
   spill.edgeChunkShift = 6;
-  for (const Cell& c : kCells) {
-    ExplorationPolicy pol;
-    pol.threads = c.threads;
-    pol.shards = c.shards;
-    pol.pipeline = c.pipeline;
-    pol.memoryBudgetBytes = spill.memoryBudgetBytes;
-    pol.frontierSpillThreshold = 64;
-    pol.spillDir = dir.path();
-    const Explored cell = explore(build(), mode, pol, spill);
-    const std::string label = std::string(modeName(mode)) + " budget t" +
-                              std::to_string(c.threads) + "/s" +
-                              std::to_string(c.shards) + "/p" +
-                              pipeName(c.pipeline);
-    EXPECT_EQ(ref.stats.statesDiscovered, cell.stats.statesDiscovered)
-        << label;
-    expectGraphsBitIdentical(*ref.g, *cell.g, label);
-    ASSERT_TRUE(cell.g->spillActive()) << label;
-    const Pager::Stats ps = cell.g->spillStats();
-    EXPECT_GT(ps.chunksCold, 0u) << label << ": cold tier never engaged";
-    if (expectEvictions) {
-      EXPECT_GT(ps.evictions, 0u) << label << ": budget never forced eviction";
-    }
-    EXPECT_EQ(dir.visibleFiles(), 0u) << label;
+  ExplorationPolicy pol;
+  pol.memoryBudgetBytes = spill.memoryBudgetBytes;
+  pol.frontierSpillThreshold = 64;
+  pol.spillDir = dir.path();
+  const Explored cell = explore(build(), mode, pol, spill);
+  const std::string label = std::string(modeName(mode)) + " budget";
+  EXPECT_EQ(ref.stats.statesDiscovered, cell.stats.statesDiscovered)
+      << label;
+  expectGraphsBitIdentical(*ref.g, *cell.g, label);
+  ASSERT_TRUE(cell.g->spillActive()) << label;
+  const Pager::Stats ps = cell.g->spillStats();
+  EXPECT_GT(ps.chunksCold, 0u) << label << ": cold tier never engaged";
+  if (expectEvictions) {
+    EXPECT_GT(ps.evictions, 0u) << label << ": budget never forced eviction";
   }
+  EXPECT_EQ(dir.visibleFiles(), 0u) << label;
 }
 
 std::unique_ptr<ioa::System> relay31() { return relayFixture(3, 1); }
 std::unique_ptr<ioa::System> flooding30() { return floodingFixture(3, 0); }
 
 TEST(SpillEquivalence, BitIdenticalRelay31Plain) {
-  runSpillMatrix(relay31, Mode::Plain);
+  runBudgetedVsUnbounded(relay31, Mode::Plain);
 }
 
 TEST(SpillEquivalence, BitIdenticalRelay31Symmetry) {
-  runSpillMatrix(relay31, Mode::Sym);
+  runBudgetedVsUnbounded(relay31, Mode::Sym);
 }
 
 TEST(SpillEquivalence, BitIdenticalRelay31SymmetryPor) {
-  runSpillMatrix(relay31, Mode::SymPor, /*expectEvictions=*/false);
+  runBudgetedVsUnbounded(relay31, Mode::SymPor, /*expectEvictions=*/false);
 }
 
 TEST(SpillEquivalence, BitIdenticalFlooding30Symmetry) {
-  runSpillMatrix(flooding30, Mode::Sym);
+  runBudgetedVsUnbounded(flooding30, Mode::Sym);
 }
 
 TEST(SpillEquivalence, FrontierSpillEngagesAndReportsStats) {
@@ -465,29 +414,6 @@ TEST(SpillFaultInjection, FailingEvictionAbortsSerialExplorationCleanly) {
   StateGraph g(*sys, nullptr, nullptr, spill);
   const NodeId root = g.intern(canonicalInitialization(*sys, 1));
   EXPECT_THROW(exploreReachable(g, root, {}), std::runtime_error);
-  EXPECT_TRUE(g.checkConsistent());
-  EXPECT_EQ(dir.visibleFiles(), 0u);
-}
-
-TEST(SpillFaultInjection, FailingDemoteAbortsParallelInstallCleanly) {
-  SpillDir dir;
-  auto sys = relayFixture(3, 1);
-  SpillConfig spill;
-  spill.memoryBudgetBytes = 2 * 4096;
-  spill.spillDir = dir.path();
-  spill.edgeChunkShift = 8;
-  spill.failDemoteAfter = 3;
-  StateGraph g(*sys, nullptr, nullptr, spill);
-  const NodeId root = g.intern(canonicalInitialization(*sys, 1));
-  ExplorationPolicy pol;
-  pol.threads = 2;
-  pol.shards = 2;
-  pol.memoryBudgetBytes = spill.memoryBudgetBytes;
-  pol.frontierSpillThreshold = 64;
-  pol.spillDir = dir.path();
-  // Phase 1 never touches the StateGraph; the demote failure fires during
-  // the canonical install and must leave the graph self-consistent.
-  EXPECT_THROW(exploreReachable(g, root, pol), std::runtime_error);
   EXPECT_TRUE(g.checkConsistent());
   EXPECT_EQ(dir.visibleFiles(), 0u);
 }

@@ -12,7 +12,7 @@
 
 #include "analysis/adversary.h"
 #include "analysis/bivalence.h"
-#include "analysis/parallel_explorer.h"
+#include "analysis/explore.h"
 #include "analysis/state_graph.h"
 #include "serve/candidates.h"
 #include "serve/scheduler.h"

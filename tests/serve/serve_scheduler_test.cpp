@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "analysis/bivalence.h"
-#include "analysis/parallel_explorer.h"
+#include "analysis/explore.h"
 #include "analysis/state_graph.h"
 #include "serve/candidates.h"
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/server.h"
+
 namespace boosting::serve {
 namespace {
 
@@ -85,6 +87,43 @@ TEST(ServeWire, HelpersFallBackOnWrongKind) {
   EXPECT_EQ(getStr(obj, "missing", "dflt"), "dflt");
   EXPECT_TRUE(hasKey(obj, "n"));
   EXPECT_FALSE(hasKey(obj, "missing"));
+}
+
+TEST(ServeWire, SubmitRejectsUnknownKeysByName) {
+  // Removed options and typos are errors, never silently ignored fields.
+  for (const char* key : {"threads", "shards", "pipeline", "symetry"}) {
+    const auto req = parse(std::string(R"({"op":"submit","id":"a",)") + "\"" +
+                           key + "\":4}");
+    JobSpec spec;
+    std::string err;
+    EXPECT_FALSE(parseSubmitRequest(req, &spec, &err)) << key;
+    EXPECT_EQ(err, std::string("submit: unknown key '") + key + "'");
+  }
+  const auto ok = parse(
+      R"({"op":"submit","id":"a","candidate":"relay","n":3,"f":1,)"
+      R"("claim":2,"priority":5,"symmetry":"off","por":"on",)"
+      R"("witness":true,"progress":false})");
+  JobSpec spec;
+  std::string err;
+  ASSERT_TRUE(parseSubmitRequest(ok, &spec, &err)) << err;
+  EXPECT_EQ(spec.id, "a");
+  EXPECT_EQ(spec.n, 3);
+  EXPECT_EQ(spec.claim, 2);
+  EXPECT_EQ(spec.priority, 5);
+  EXPECT_EQ(spec.symmetry, analysis::SymmetryMode::Off);
+  EXPECT_EQ(spec.por, analysis::PorMode::On);
+  EXPECT_TRUE(spec.wantWitness);
+}
+
+TEST(ServeWire, SubmitRejectsMistypedValues) {
+  JobSpec spec;
+  std::string err;
+  EXPECT_FALSE(parseSubmitRequest(parse(R"({"op":"submit","n":"3"})"), &spec,
+                                  &err));
+  EXPECT_EQ(err, "n: expected an integer");
+  EXPECT_FALSE(parseSubmitRequest(parse(R"({"op":"submit","por":"banana"})"),
+                                  &spec, &err));
+  EXPECT_EQ(err, "por: expected auto|on|off, got 'banana'");
 }
 
 }  // namespace

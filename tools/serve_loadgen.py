@@ -7,12 +7,11 @@ Two modes:
       For each spec in a small matrix (relay and flooding at n=3), run the
       one-shot CLI (boosting_analyze) and the resident server over the
       SAME spec -- twice each on the server so the second hit is
-      warm-cache, plus once through the pipelined parallel engine
-      (threads=2, pipeline=on) -- and assert the served verdicts are
-      byte-identical to the CLI's: summary text, state count, witness
-      action count, witness text and exit code. Also checks that a
-      malformed pipeline value is refused with a diagnostic before any
-      job is enqueued, and exercises queued-job cancellation (a cancel
+      warm-cache -- and assert the served verdicts are byte-identical to
+      the CLI's: summary text, state count, witness action count, witness
+      text and exit code. Also checks that a submit carrying an unknown
+      key (the removed "threads" option) is refused with an error naming
+      the key before any job is enqueued, and exercises queued-job cancellation (a cancel
       arriving in the same input burst as its submit deterministically
       finalizes the job cancelled before it ever runs), the drain
       shutdown op, and a TCP session whose client half-closes after
@@ -147,20 +146,14 @@ def check_mode(args):
                 failures.append(f"{tag}: CLI output had no summary:\n"
                                 f"{cli['stdout']}")
                 continue
-            # "piped" runs the same spec through the pipelined parallel
-            # engine (threads=2, pipeline=on): its verdict must still be
-            # byte-identical to the serial CLI reference -- the canonical
-            # install's determinism contract, checked over the wire.
             lines = [submit_line(spec, "cold", witness=True),
-                     submit_line(spec, "warm", witness=True),
-                     submit_line(spec, "piped", witness=True,
-                                 threads=2, pipeline="on")]
+                     submit_line(spec, "warm", witness=True)]
             rc, events, err = run_server(args.server, lines)
             if rc != 0:
                 failures.append(f"{tag}: server exited {rc}: {err}")
                 continue
             results = {e["id"]: e for e in events if e.get("ev") == "result"}
-            for which in ("cold", "warm", "piped"):
+            for which in ("cold", "warm"):
                 r = results.get(which)
                 if r is None:
                     failures.append(f"{tag}: no result event for '{which}'")
@@ -196,19 +189,22 @@ def check_mode(args):
         else:
             print("  cancel: queued job finalized 'cancelled' without running")
 
-        # Strict wire validation: a malformed pipeline value must be
-        # refused with an error event naming the field and the value,
-        # before any job is enqueued.
-        lines = [submit_line(spec, "badpipe", pipeline="banana")]
+        # Strict wire validation: a key the server does not know (here the
+        # removed "threads" option) must be refused with an error event
+        # naming it, and the job must never be enqueued.
+        lines = [submit_line(spec, "badkey", threads=4)]
         rc, events, err = run_server(args.server, lines)
         rejected = [e for e in events if e.get("ev") == "error"
-                    and "pipeline: expected auto|on|off" in e.get("error", "")]
-        if rc != 0 or not rejected:
-            failures.append(f"pipeline-reject: expected an error event naming "
-                            f"'pipeline', got rc={rc} events={events} "
-                            f"stderr={err}")
+                    and e.get("id") == "badkey"
+                    and "unknown key 'threads'" in e.get("error", "")]
+        enqueued = [e for e in events if e.get("id") == "badkey"
+                    and e.get("ev") in ("ack", "result")]
+        if rc != 0 or not rejected or enqueued:
+            failures.append(f"unknown-key-reject: expected an error event "
+                            f"naming 'threads' and no job, got rc={rc} "
+                            f"events={events} stderr={err}")
         else:
-            print("  reject: pipeline=banana refused with a diagnostic")
+            print("  reject: unknown key 'threads' refused with a diagnostic")
 
         # Shutdown op: drain mode acks, finishes in-flight work, exits 0.
         lines = [submit_line(spec, "last"),

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v8 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v9 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -17,20 +17,11 @@ promise:
     least a byte, in practice dozens) and a nonzero process.peak_rss_bytes
     is >= the sum of the graph.bytes_* gauges (the process cannot hold the
     graph in less memory than the graph's own accounting);
-  * when the sharded phase-1 table ran (explorer.shard.* counters present,
-    v5), routed == explorer.states_discovered (every discovered state was
-    installed into exactly one shard, roots included), batch_flushes >=
-    active_pairs (every worker-shard pair that ever buffered a successor
-    flushed at least once), and cross_shard_edges <= explorer.edges_computed;
   * when partial-order reduction ran (explorer.por.* counters present, v4),
     states_reduced <= nodes_evaluated (only evaluated nodes can commit an
     ample subset), tasks_skipped >= states_reduced (every reduced node
     skipped at least one enabled task), and ample_avg <= 1000 (it is a
     per-mille fraction of enabled tasks kept);
-  * with --expect-workers N, per-worker expansion counters exist for
-    workers 0..N-1 and sum to explorer.states_discovered -- or, when POR
-    ran, to at most it (non-ample children are interned by workers but
-    reduced-expanded serially during install, outside the worker tallies);
   * when the out-of-core tier ran (graph.spill.* counters present, v6),
     bytes_on_disk > 0 implies chunks_cold > 0, evictions <= chunks_cold +
     faults (each eviction follows a demote or a refault), the RSS-vs-graph
@@ -43,14 +34,9 @@ promise:
     most once; the difference is jobs still live at snapshot time),
     context_reuses + context_builds + bypasses <= submitted (each
     accepted job sources its exploration state exactly one way), and
-    evictions <= context_builds (only built contexts can be evicted);
-  * when the pipelined install ran (explorer.pipeline.* counters present,
-    v8), the family is complete, explorer.shard.* is present alongside
-    (the pipelined install runs over the sharded table), and
-    bulk_action_batches <= explorer.edges_computed (at most one bulk
-    action-pin batch per installed node, and only nodes with edges pin).
+    evictions <= context_builds (only built contexts can be evicted).
 
-Usage: validate_metrics.py [--schema SCHEMA] [--expect-workers N] METRICS
+Usage: validate_metrics.py [--schema SCHEMA] METRICS
 Exits 0 when valid, 1 with one "path: problem" line per violation.
 """
 
@@ -110,7 +96,7 @@ def named_section(doc, section):
             if isinstance(entry, dict) and "name" in entry}
 
 
-def check_invariants(doc, expect_workers, errors):
+def check_invariants(doc, errors):
     for section in ("counters", "timers", "derived"):
         names = [e["name"] for e in doc.get(section, [])
                  if isinstance(e, dict) and "name" in e]
@@ -124,15 +110,14 @@ def check_invariants(doc, expect_workers, errors):
     def cval(name):
         return counters[name]["value"] if name in counters else 0
 
-    for prefix in ("cache.", "explorer.cache."):
-        for family in ("enabled", "apply"):
-            lookups = cval(f"{prefix}{family}_lookups")
-            hits = cval(f"{prefix}{family}_hits")
-            misses = cval(f"{prefix}{family}_misses")
-            if hits + misses != lookups:
-                errors.append(
-                    f"$.counters: {prefix}{family}: hits {hits} + misses "
-                    f"{misses} != lookups {lookups}")
+    for family in ("enabled", "apply"):
+        lookups = cval(f"cache.{family}_lookups")
+        hits = cval(f"cache.{family}_hits")
+        misses = cval(f"cache.{family}_misses")
+        if hits + misses != lookups:
+            errors.append(
+                f"$.counters: cache.{family}: hits {hits} + misses "
+                f"{misses} != lookups {lookups}")
 
     symmetry = [n for n in counters if n.startswith("explorer.symmetry.")]
     if symmetry:
@@ -152,42 +137,6 @@ def check_invariants(doc, expect_workers, errors):
             errors.append(
                 f"$.counters: explorer.symmetry.orbits_collapsed {collapsed} "
                 f"> states_raw {raw}")
-
-    shard = [n for n in counters if n.startswith("explorer.shard.")]
-    if shard:
-        for required in ("explorer.shard.count",
-                         "explorer.shard.routed",
-                         "explorer.shard.batch_flushes",
-                         "explorer.shard.max_queue_depth",
-                         "explorer.shard.cross_shard_edges",
-                         "explorer.shard.active_pairs"):
-            if required not in counters:
-                errors.append(
-                    "$.counters: explorer.shard.* present but incomplete "
-                    f"({sorted(shard)})")
-                break
-        routed = cval("explorer.shard.routed")
-        discovered = cval("explorer.states_discovered")
-        if routed != discovered:
-            errors.append(
-                f"$.counters: explorer.shard.routed {routed} != "
-                f"explorer.states_discovered {discovered} (every discovered "
-                "state must be installed into exactly one shard)")
-        flushes = cval("explorer.shard.batch_flushes")
-        pairs = cval("explorer.shard.active_pairs")
-        if flushes < pairs:
-            errors.append(
-                f"$.counters: explorer.shard.batch_flushes {flushes} < "
-                f"active_pairs {pairs} (every active worker-shard pair "
-                "flushes at least once)")
-        cross = cval("explorer.shard.cross_shard_edges")
-        edges = cval("explorer.edges_computed")
-        if cross > edges:
-            errors.append(
-                f"$.counters: explorer.shard.cross_shard_edges {cross} > "
-                f"explorer.edges_computed {edges}")
-        if cval("explorer.shard.count") < 1:
-            errors.append("$.counters: explorer.shard.count < 1")
 
     por = [n for n in counters if n.startswith("explorer.por.")]
     if por:
@@ -219,31 +168,6 @@ def check_invariants(doc, expect_workers, errors):
             errors.append(
                 f"$.counters: explorer.por.ample_avg {ample_avg} > 1000 "
                 "(per-mille fraction)")
-
-    pipeline = [n for n in counters if n.startswith("explorer.pipeline.")]
-    if pipeline:
-        for required in ("explorer.pipeline.levels_overlapped",
-                         "explorer.pipeline.install_wait_ns",
-                         "explorer.pipeline.bulk_action_batches"):
-            if required not in counters:
-                errors.append(
-                    "$.counters: explorer.pipeline.* present but incomplete "
-                    f"({sorted(pipeline)})")
-                break
-        # A pipelined run flushes through the sharded explorer, so the
-        # shard counters must be present alongside (v8).
-        if not shard:
-            errors.append(
-                "$.counters: explorer.pipeline.* present without "
-                "explorer.shard.* (pipelined installs run over the sharded "
-                "table)")
-        batches = cval("explorer.pipeline.bulk_action_batches")
-        edges = cval("explorer.edges_computed")
-        if batches > edges:
-            errors.append(
-                f"$.counters: explorer.pipeline.bulk_action_batches "
-                f"{batches} > explorer.edges_computed {edges} (at most one "
-                "bulk batch per installed node)")
 
     graph_bytes = [n for n in counters if n.startswith("graph.bytes_")]
     if graph_bytes:
@@ -298,18 +222,14 @@ def check_invariants(doc, expect_workers, errors):
                 "(each eviction follows a demote or a refault)")
 
     # Frontier spill (v6): a segment can only be reloaded after it was
-    # spilled, under both the parallel (explorer.frontier.*) and serial
-    # (explore.frontier_*) naming.
-    for spilled_name, reload_name in (
-            ("explorer.frontier.segments_spilled",
-             "explorer.frontier.reloads"),
-            ("explore.frontier_segments_spilled",
-             "explore.frontier_reloads")):
-        if spilled_name in counters or reload_name in counters:
-            if cval(reload_name) > cval(spilled_name):
-                errors.append(
-                    f"$.counters: {reload_name} {cval(reload_name)} > "
-                    f"{spilled_name} {cval(spilled_name)}")
+    # spilled.
+    spilled_name = "explore.frontier_segments_spilled"
+    reload_name = "explore.frontier_reloads"
+    if spilled_name in counters or reload_name in counters:
+        if cval(reload_name) > cval(spilled_name):
+            errors.append(
+                f"$.counters: {reload_name} {cval(reload_name)} > "
+                f"{spilled_name} {cval(spilled_name)}")
 
     # Per-phase RSS delta (v6): the delta cannot exceed the process
     # lifetime peak -- VmHWM is a superset of any phase's growth.
@@ -345,28 +265,6 @@ def check_invariants(doc, expect_workers, errors):
                 f"serve.cache.context_builds "
                 f"{cval('serve.cache.context_builds')}")
 
-    if expect_workers is not None:
-        total = 0
-        for w in range(expect_workers):
-            name = f"explorer.worker{w}.expanded"
-            if name not in counters:
-                errors.append(f"$.counters: missing {name}")
-            else:
-                total += cval(name)
-        if "explorer.states_discovered" in counters:
-            discovered = cval("explorer.states_discovered")
-            # Under POR some interned states are never worker-expanded
-            # (their reduced expansion happens serially during install), so
-            # the strict equality relaxes to an upper bound.
-            if por and total > discovered:
-                errors.append(
-                    f"$.counters: per-worker expanded sum {total} > "
-                    f"explorer.states_discovered {discovered}")
-            elif not por and total != discovered:
-                errors.append(
-                    f"$.counters: per-worker expanded sum {total} != "
-                    f"explorer.states_discovered {discovered}")
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -374,8 +272,6 @@ def main():
     ap.add_argument("--schema", default=None,
                     help="schema file (default: docs/metrics_schema.json "
                          "next to this script's repo)")
-    ap.add_argument("--expect-workers", type=int, default=None, metavar="N",
-                    help="require explorer.worker{0..N-1}.expanded counters")
     args = ap.parse_args()
 
     schema_path = args.schema
@@ -401,7 +297,7 @@ def main():
     errors = []
     validate(doc, schema, "$", errors)
     if not errors:
-        check_invariants(doc, args.expect_workers, errors)
+        check_invariants(doc, errors)
 
     if errors:
         for err in errors:
@@ -412,7 +308,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v8 "
+    print(f"{args.metrics}: valid boosting-metrics-v9 "
           f"({counters} counters, {timers} timers)")
     return 0
 
