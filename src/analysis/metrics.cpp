@@ -88,9 +88,17 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g) {
     // Quotient telemetry: states_raw counts intern probes (pre-reduction),
     // states_canonical the distinct orbit representatives actually interned
     // (== graph.states_discovered), so canonical <= raw is an invariant
-    // validate_metrics.py checks.
+    // validate_metrics.py checks. The cost side: candidate_perms is what
+    // the full orbit enumeration would relabel, candidates_evaluated what
+    // the minimization walked after skipping duplicates, slot_relabels the
+    // relabeledState calls it spent; orbits_collapsed <=
+    // candidates_evaluated <= candidate_perms is checked as well.
     reg->add("explorer.symmetry.states_raw", sp.statesRaw());
     reg->add("explorer.symmetry.orbits_collapsed", sp.orbitsCollapsed());
+    reg->add("explorer.symmetry.candidate_perms", sp.candidatePerms());
+    reg->add("explorer.symmetry.candidates_evaluated",
+             sp.candidatesEvaluated());
+    reg->add("explorer.symmetry.slot_relabels", sp.slotRelabels());
     reg->add("explorer.symmetry.states_canonical", gs.statesDiscovered);
   }
   if (g.porActive()) {

@@ -2,30 +2,365 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <cstdint>
 #include <utility>
 
 namespace boosting::analysis {
 
 namespace {
 
-// Deterministic total order over states with equal slot layout: per-slot
-// cached hash first, serialized content on hash ties. Consistent with
-// equals() as long as every component's str() is faithful (injective on
-// distinct contents) -- a documented obligation of relabelable components.
-int compareStates(const ioa::SystemState& a, const ioa::SystemState& b) {
-  const std::size_t k = a.partCount();
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t ha = a.slotHashValue(i);
-    const std::size_t hb = b.slotHashValue(i);
-    if (ha != hb) return ha < hb ? -1 : 1;
-    if (a.slotShared(i).get() == b.slotShared(i).get()) continue;
-    const std::string sa = a.part(i).str();
-    const std::string sb = b.part(i).str();
-    if (sa != sb) return sa < sb ? -1 : 1;
-  }
-  return 0;
+// One slot of a relabeled state that is never materialized as a whole:
+// its content and that content's hash. A null state means "not computed".
+struct SlotValue {
+  std::shared_ptr<const ioa::AutomatonState> state;
+  std::size_t hash = 0;
+};
+
+bool sameContent(const ioa::AutomatonState& a, const ioa::AutomatonState& b) {
+  return &a == &b || a.equals(b);
 }
+
+// Deterministic total order over the contents of one slot: cached hash
+// first, then identity or equals(), and the serialized content only for
+// distinct contents whose hashes collide. Consistent with equals() as long
+// as every component's str() is faithful (injective on distinct contents)
+// -- a documented obligation of relabelable components.
+int compareSlot(const SlotValue& a, const SlotValue& b) {
+  if (a.hash != b.hash) return a.hash < b.hash ? -1 : 1;
+  if (sameContent(*a.state, *b.state)) return 0;
+  const std::string sa = a.state->str();
+  const std::string sb = b.state->str();
+  if (sa == sb) return 0;
+  return sa < sb ? -1 : 1;
+}
+
+std::uint64_t mulSaturating(std::uint64_t a, std::uint64_t b) {
+  if (b != 0 && a > UINT64_MAX / b) return UINT64_MAX;
+  return a * b;
+}
+
+void addSaturating(std::atomic<std::uint64_t>& counter, std::uint64_t v) {
+  std::uint64_t cur = counter.load(std::memory_order_relaxed);
+  while (!counter.compare_exchange_weak(
+      cur, cur > UINT64_MAX - v ? UINT64_MAX : cur + v,
+      std::memory_order_relaxed)) {
+  }
+}
+
+// The minimization behind one canonicalize() call.
+//
+// Candidates. Id-free: the permutations that sort the process slots by
+// (cached hash, content), i.e. every assignment of each block of
+// content-equal processes to that block's positions; blocks vary
+// lexicographically (process at each position), the first block slowest.
+// Id-sensitive: all of S_n in lexicographic order of perm. The result is
+// the FIRST candidate whose relabeling is minimal under compareSlot.
+//
+// Duplicate skipping. Processes i and j are indistinguishable in s when
+// the transposition (i j) fixes s. That is an equivalence relation
+// (conjugating (i j) by (j k) gives (i k), and the permutations fixing s
+// form a group), so its classes come from one check per (process, class
+// representative) pair. Any permutation sigma that only permutes within
+// classes fixes s, so relabeled(s, p o sigma) == relabeled(s, p): the
+// candidates fall into groups of equal relabelings, each group holding
+// exactly one permutation that keeps every class in ascending process
+// order (lower index at the lower position). That one is also the group's
+// lexicographically first member in both enumeration orders above: at the
+// positions a class occupies (id-free) or across the processes of a class
+// (id-sensitive), ascending is the smallest arrangement. So the first
+// minimum of the kept candidates is the first minimum of the full
+// enumeration -- the same state and the same permutation. Id-free classes
+// lie inside blocks (equal content is necessary), so blocks are refined
+// only when tied.
+//
+// Lazy comparison. A candidate is compared to the running best one slot
+// at a time, relabeling only that slot and stopping at the first slot that
+// differs; the best candidate's slots are kept as they are computed. In
+// id-free mode the process slots are skipped: position p holds the content
+// of p's block under every candidate.
+class OrbitMinimizer {
+ public:
+  OrbitMinimizer(const ioa::System& sys, bool idFree,
+                 const ioa::SystemState& s)
+      : sys_(sys),
+        s_(s),
+        idFree_(idFree),
+        n_(sys.processCount()),
+        firstCompared_(idFree ? static_cast<std::size_t>(n_) : 0),
+        prevMember_(static_cast<std::size_t>(n_), -1) {}
+
+  // Runs the minimization; the winner is bestPerm().
+  void minimize() {
+    std::vector<int> perm = setUp();
+    best_ = perm;
+    bestInv_ = SymmetryPolicy::invertPerm(perm);
+    bestSlots_.assign(s_.partCount(), SlotValue{});
+    candidatesEvaluated = 1;
+    std::vector<int> inv(perm.size());
+    while (nextCandidate(perm)) {
+      ++candidatesEvaluated;
+      for (std::size_t i = 0; i < perm.size(); ++i) {
+        inv[static_cast<std::size_t>(perm[i])] = static_cast<int>(i);
+      }
+      int cmp = 0;
+      SlotValue cand;
+      std::size_t pos = firstCompared_;
+      for (; pos < s_.partCount(); ++pos) {
+        cand = slotOf(perm, inv, pos);
+        cmp = compareSlot(cand, bestSlot(pos));
+        if (cmp != 0) break;
+      }
+      if (cmp < 0) {
+        best_ = perm;
+        bestInv_ = inv;
+        bestSlots_[pos] = std::move(cand);
+        for (std::size_t k = pos + 1; k < bestSlots_.size(); ++k) {
+          bestSlots_[k].state.reset();
+        }
+      }
+    }
+  }
+
+  const std::vector<int>& bestPerm() const { return best_; }
+
+  // relabeled(s, bestPerm()), built once; nullopt when it equals s.
+  std::optional<ioa::SystemState> representative() {
+    if (SymmetryPolicy::isIdentity(best_)) return std::nullopt;
+    bool same = true;
+    for (std::size_t pos = 0; pos < s_.partCount(); ++pos) {
+      const SlotValue& b = bestSlot(pos);
+      if (b.state.get() != s_.slotShared(pos).get() &&
+          (b.hash != s_.slotHashValue(pos) ||
+           !b.state->equals(s_.part(pos)))) {
+        same = false;
+      }
+    }
+    if (same) return std::nullopt;
+    ioa::SystemState t(s_);
+    for (std::size_t pos = 0; pos < s_.partCount(); ++pos) {
+      const SlotValue& b = bestSlots_[pos];
+      if (b.state.get() != s_.slotShared(pos).get()) {
+        t.setSlot(pos, b.state, b.hash);
+      }
+    }
+    t.hash();  // publishable: every slot cache valid
+    return t;
+  }
+
+  std::uint64_t candidatePerms = 1;  // size of the full enumeration
+  std::uint64_t candidatesEvaluated = 0;
+  std::uint64_t slotRelabels = 0;
+
+ private:
+  // A block of content-equal processes and the positions it occupies.
+  struct Block {
+    std::vector<int> procs;  // ascending process indices
+    int basePos = 0;
+    std::vector<int> arr;    // arr[k]: the process placed at basePos + k
+  };
+
+  // Builds the blocks (id-free) and the indistinguishability classes;
+  // returns the first candidate.
+  std::vector<int> setUp() {
+    std::vector<int> perm = SymmetryPolicy::identityPerm(n_);
+    if (!idFree_) {
+      findClasses(perm);
+      for (int k = 2; k <= n_; ++k) {
+        candidatePerms =
+            mulSaturating(candidatePerms, static_cast<std::uint64_t>(k));
+      }
+      return perm;
+    }
+    const std::size_t n = static_cast<std::size_t>(n_);
+    std::vector<std::size_t> h(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      h[i] = s_.slotHashValue(sys_.slotForProcess(static_cast<int>(i)));
+    }
+    std::vector<std::string> strCache(n);
+    std::vector<bool> strReady(n, false);
+    const auto strOf = [&](int i) -> const std::string& {
+      const auto ui = static_cast<std::size_t>(i);
+      if (!strReady[ui]) {
+        strCache[ui] = s_.part(sys_.slotForProcess(i)).str();
+        strReady[ui] = true;
+      }
+      return strCache[ui];
+    };
+    const auto sameProc = [&](int a, int b) {
+      return sameContent(s_.part(sys_.slotForProcess(a)),
+                         s_.part(sys_.slotForProcess(b)));
+    };
+    std::vector<int> order = SymmetryPolicy::identityPerm(n_);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      const auto ha = h[static_cast<std::size_t>(a)];
+      const auto hb = h[static_cast<std::size_t>(b)];
+      if (ha != hb) return ha < hb;
+      if (sameProc(a, b)) return false;
+      return strOf(a) < strOf(b);
+    });
+    const auto tied = [&](int a, int b) {
+      return h[static_cast<std::size_t>(a)] ==
+                 h[static_cast<std::size_t>(b)] &&
+             (sameProc(a, b) || strOf(a) == strOf(b));
+    };
+    for (int p = 0; p < n_;) {
+      Block b;
+      b.basePos = p;
+      int q = p;
+      while (q < n_ && tied(order[static_cast<std::size_t>(p)],
+                            order[static_cast<std::size_t>(q)])) {
+        b.procs.push_back(order[static_cast<std::size_t>(q)]);
+        ++q;
+      }
+      std::sort(b.procs.begin(), b.procs.end());
+      b.arr = b.procs;
+      for (int k = 2; k <= q - p; ++k) {
+        candidatePerms =
+            mulSaturating(candidatePerms, static_cast<std::uint64_t>(k));
+      }
+      if (b.procs.size() > 1) findClasses(b.procs);
+      place(b, perm);
+      blocks_.push_back(std::move(b));
+      p = q;
+    }
+    return perm;
+  }
+
+  // Partitions `procs` (ascending) into indistinguishability classes,
+  // recording each process's previous class member in prevMember_.
+  void findClasses(const std::vector<int>& procs) {
+    std::vector<int> reps;
+    std::vector<int> last(static_cast<std::size_t>(n_), -1);
+    for (int i : procs) {
+      const auto ui = static_cast<std::size_t>(i);
+      bool joined = false;
+      for (int r : reps) {
+        if (fixedBySwap(r, i)) {
+          const auto ur = static_cast<std::size_t>(r);
+          prevMember_[ui] = last[ur];
+          last[ur] = i;
+          joined = true;
+          break;
+        }
+      }
+      if (!joined) {
+        reps.push_back(i);
+        last[ui] = i;
+      }
+    }
+  }
+
+  // Does the transposition (a b) fix s? Id-free process slots of a block
+  // hold equal content, so only the compared slots need checking.
+  bool fixedBySwap(int a, int b) {
+    std::vector<int> tau = SymmetryPolicy::identityPerm(n_);
+    std::swap(tau[static_cast<std::size_t>(a)],
+              tau[static_cast<std::size_t>(b)]);
+    for (std::size_t pos = firstCompared_; pos < s_.partCount(); ++pos) {
+      const SlotValue v = slotOf(tau, tau, pos);  // tau is an involution
+      if (v.hash != s_.slotHashValue(pos) ||
+          !sameContent(*v.state, s_.part(pos))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  static void place(const Block& b, std::vector<int>& perm) {
+    for (std::size_t k = 0; k < b.arr.size(); ++k) {
+      perm[static_cast<std::size_t>(b.arr[k])] =
+          b.basePos + static_cast<int>(k);
+    }
+  }
+
+  // Advances `perm` to the next kept candidate; false once exhausted.
+  bool nextCandidate(std::vector<int>& perm) {
+    if (!idFree_) {
+      while (std::next_permutation(perm.begin(), perm.end())) {
+        if (keepsClassesAscending(perm)) return true;
+      }
+      return false;
+    }
+    for (std::size_t bi = blocks_.size(); bi-- > 0;) {
+      Block& b = blocks_[bi];
+      const bool advanced = nextArrangement(b.arr);
+      if (!advanced) b.arr = b.procs;
+      place(b, perm);
+      if (advanced) return true;
+    }
+    return false;
+  }
+
+  bool keepsClassesAscending(const std::vector<int>& perm) const {
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+      const int prev = prevMember_[i];
+      if (prev >= 0 && perm[static_cast<std::size_t>(prev)] > perm[i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Lexicographic successor of `arr` among the arrangements that keep every
+  // class in ascending process order. The suffix arr[t..] holds the
+  // processes not placed before t; one of them may go to t when its
+  // previous class member is already placed, and the smallest completion
+  // of the rest is ascending order.
+  bool nextArrangement(std::vector<int>& arr) const {
+    for (std::size_t t = arr.size() - 1; t-- > 0;) {
+      const auto rest = arr.begin() + static_cast<std::ptrdiff_t>(t);
+      auto pick = arr.end();
+      for (auto it = rest; it != arr.end(); ++it) {
+        const int prev = prevMember_[static_cast<std::size_t>(*it)];
+        const bool free =
+            prev < 0 || std::find(rest, arr.end(), prev) == arr.end();
+        if (free && *it > *rest && (pick == arr.end() || *it < *pick)) {
+          pick = it;
+        }
+      }
+      if (pick != arr.end()) {
+        std::iter_swap(rest, pick);
+        std::sort(rest + 1, arr.end());
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Slot `pos` of relabeled(s, perm), given inv == perm^-1.
+  SlotValue slotOf(const std::vector<int>& perm, const std::vector<int>& inv,
+                   std::size_t pos) {
+    std::size_t from = pos;
+    if (pos < static_cast<std::size_t>(n_)) {
+      from = sys_.slotForProcess(inv[pos]);
+      if (idFree_) return {s_.slotShared(from), s_.slotHashValue(from)};
+    }
+    ++slotRelabels;
+    std::shared_ptr<const ioa::AutomatonState> ns =
+        sys_.componentAtSlot(from).relabeledState(s_.part(from), perm);
+    assert(ns && "relabeledState support was validated in forSystem");
+    const std::size_t h = ns->hash();
+    return {std::move(ns), h};
+  }
+
+  const SlotValue& bestSlot(std::size_t pos) {
+    SlotValue& b = bestSlots_[pos];
+    if (!b.state) b = slotOf(best_, bestInv_, pos);
+    return b;
+  }
+
+  const ioa::System& sys_;
+  const ioa::SystemState& s_;
+  const bool idFree_;
+  const int n_;
+  const std::size_t firstCompared_;
+  // prevMember_[i]: the next lower process in i's class, -1 for the lowest.
+  std::vector<int> prevMember_;
+  std::vector<Block> blocks_;
+  std::vector<int> best_;
+  std::vector<int> bestInv_;
+  std::vector<SlotValue> bestSlots_;
+};
 
 bool endpointsAreAllProcesses(const std::vector<int>& endpoints, int n) {
   if (static_cast<int>(endpoints.size()) != n) return false;
@@ -163,88 +498,6 @@ ioa::Action SymmetryPolicy::relabelAction(const ioa::Action& a,
   return out;
 }
 
-std::vector<std::vector<int>> SymmetryPolicy::candidatePerms(
-    const ioa::SystemState& s) const {
-  const int n = n_;
-  std::vector<std::vector<int>> out;
-  if (strategy_ == ioa::ProcessSymmetry::IdSensitive) {
-    // Id-sensitive relabeling can change process contents, so no content
-    // sort pre-discriminates: minimize over the full group.
-    std::vector<int> p = identityPerm(n);
-    do {
-      out.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
-    return out;
-  }
-
-  // Id-free: process contents are permutation-invariant, so any minimizing
-  // permutation must sort the process slots by content. Order the slots by
-  // (cached hash, serialized content) and enumerate only the assignments
-  // within tied blocks; the candidate set is orbit-invariant because the
-  // keys are content-determined.
-  std::vector<std::size_t> h(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    h[static_cast<std::size_t>(i)] = s.slotHashValue(sys_->slotForProcess(i));
-  }
-  std::vector<std::string> strCache(static_cast<std::size_t>(n));
-  std::vector<bool> strReady(static_cast<std::size_t>(n), false);
-  const auto strOf = [&](int i) -> const std::string& {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!strReady[ui]) {
-      strCache[ui] = s.part(sys_->slotForProcess(i)).str();
-      strReady[ui] = true;
-    }
-    return strCache[ui];
-  };
-  std::vector<int> order = identityPerm(n);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const auto ha = h[static_cast<std::size_t>(a)];
-    const auto hb = h[static_cast<std::size_t>(b)];
-    if (ha != hb) return ha < hb;
-    return strOf(a) < strOf(b);
-  });
-  const auto tied = [&](int a, int b) {
-    return h[static_cast<std::size_t>(a)] == h[static_cast<std::size_t>(b)] &&
-           strOf(a) == strOf(b);
-  };
-  // Blocks of content-equal slots, each owning a contiguous position range.
-  struct Block {
-    std::vector<int> procs;  // ascending process indices
-    int basePos = 0;
-  };
-  std::vector<Block> blocks;
-  for (int p = 0; p < n;) {
-    Block b;
-    b.basePos = p;
-    int q = p;
-    while (q < n && tied(order[static_cast<std::size_t>(p)],
-                         order[static_cast<std::size_t>(q)])) {
-      b.procs.push_back(order[static_cast<std::size_t>(q)]);
-      ++q;
-    }
-    std::sort(b.procs.begin(), b.procs.end());
-    blocks.push_back(std::move(b));
-    p = q;
-  }
-  std::vector<int> perm(static_cast<std::size_t>(n));
-  std::function<void(std::size_t)> rec = [&](std::size_t bi) {
-    if (bi == blocks.size()) {
-      out.push_back(perm);
-      return;
-    }
-    std::vector<int> procs = blocks[bi].procs;
-    const int basePos = blocks[bi].basePos;
-    do {
-      for (std::size_t k = 0; k < procs.size(); ++k) {
-        perm[static_cast<std::size_t>(procs[k])] =
-            basePos + static_cast<int>(k);
-      }
-      rec(bi + 1);
-    } while (std::next_permutation(procs.begin(), procs.end()));
-  };
-  rec(0);
-  return out;
-}
 
 std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
     const ioa::SystemState& s) const {
@@ -252,23 +505,16 @@ std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
   statesRaw_.fetch_add(1, std::memory_order_relaxed);
   s.hash();  // flush the per-slot caches the candidate keys reuse
 
-  const std::vector<std::vector<int>> perms = candidatePerms(s);
-  assert(!perms.empty());
-  if (perms.size() == 1 && isIdentity(perms[0])) return std::nullopt;
-
-  std::optional<ioa::SystemState> best;
-  std::size_t bestIdx = 0;
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    ioa::SystemState cand = relabeled(s, perms[i]);
-    if (!best || compareStates(cand, *best) < 0) {
-      best = std::move(cand);
-      bestIdx = i;
-    }
-  }
-  if (best->equals(s)) return std::nullopt;
+  OrbitMinimizer m(*sys_, strategy_ == ioa::ProcessSymmetry::IdFree, s);
+  m.minimize();
+  std::optional<ioa::SystemState> rep = m.representative();
+  addSaturating(candidatePerms_, m.candidatePerms);
+  candidatesEvaluated_.fetch_add(m.candidatesEvaluated,
+                                 std::memory_order_relaxed);
+  slotRelabels_.fetch_add(m.slotRelabels, std::memory_order_relaxed);
+  if (!rep) return std::nullopt;
   orbitsCollapsed_.fetch_add(1, std::memory_order_relaxed);
-  best->hash();  // publishable: every slot cache valid
-  return CanonResult{std::move(*best), perms[bestIdx]};
+  return CanonResult{std::move(*rep), m.bestPerm()};
 }
 
 }  // namespace boosting::analysis

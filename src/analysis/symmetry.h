@@ -23,7 +23,20 @@
 // process slots by content key and only enumerates permutations within
 // tied blocks; id-sensitive candidates (flooding: states index messages by
 // sender) relabel through Automaton::relabeledState and minimize over the
-// full group, so the policy caps n at kMaxIdSensitiveN.
+// full group, so the policy caps n at kMaxIdSensitiveN. Ties go to the
+// first minimum in that enumeration order (block by block, lexicographic).
+//
+// The minimization never enumerates duplicates: processes i and j are
+// indistinguishable in s when the transposition (i j) fixes s, and every
+// candidate that orders two indistinguishable processes against their
+// indices relabels s exactly like an earlier candidate that does not, so
+// it is skipped. Candidates are compared to the running best one slot at a
+// time, relabeling only the slot being compared and stopping at the first
+// slot that differs (id-free process slots are equal across candidates by
+// construction and never compared); the winner is materialized once. The
+// representative AND its permutation are those of the full enumeration --
+// the argument is spelled out in symmetry.cpp and checked against a
+// reference copy of the full enumeration by symmetry_canon_fuzz_test.
 //
 // Soundness hinges on equivariance of the composed transition function:
 //   relabel_pi(apply(s, a)) == apply(relabel_pi(s), relabel_pi(a))
@@ -116,15 +129,23 @@ class SymmetryPolicy {
   std::uint64_t orbitsCollapsed() const {
     return orbitsCollapsed_.load(std::memory_order_relaxed);
   }
+  // Minimization cost: the permutations the full enumeration would relabel
+  // (tied-block factorials, or n! when id-sensitive), the ones actually
+  // walked after duplicate skipping, and the component relabelings
+  // (relabeledState calls) spent. orbitsCollapsed <= candidatesEvaluated
+  // <= candidatePerms.
+  std::uint64_t candidatePerms() const {
+    return candidatePerms_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t candidatesEvaluated() const {
+    return candidatesEvaluated_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t slotRelabels() const {
+    return slotRelabels_.load(std::memory_order_relaxed);
+  }
 
  private:
   SymmetryPolicy() = default;
-
-  // Candidate permutations whose relabelings are minimized over; for the
-  // id-free strategy this is the (orbit-invariant) set of permutations
-  // sorting the process slots by content key, for id-sensitive all of S_n.
-  std::vector<std::vector<int>> candidatePerms(
-      const ioa::SystemState& s) const;
 
   const ioa::System* sys_ = nullptr;
   bool trivial_ = true;
@@ -134,6 +155,9 @@ class SymmetryPolicy {
 
   mutable std::atomic<std::uint64_t> statesRaw_{0};
   mutable std::atomic<std::uint64_t> orbitsCollapsed_{0};
+  mutable std::atomic<std::uint64_t> candidatePerms_{0};
+  mutable std::atomic<std::uint64_t> candidatesEvaluated_{0};
+  mutable std::atomic<std::uint64_t> slotRelabels_{0};
 };
 
 }  // namespace boosting::analysis

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a boosting-metrics-v9 JSON file against docs/metrics_schema.json.
+"""Validate a boosting-metrics-v10 JSON file against docs/metrics_schema.json.
 
 Hand-rolled validator for the draft-07 subset the schema actually uses
 (type, required, properties, additionalProperties, items, enum, minimum,
@@ -11,7 +11,9 @@ promise:
   * every memo-cache family satisfies hits + misses == lookups;
   * when symmetry reduction ran (explorer.symmetry.* counters present),
     states_canonical <= states_raw and orbits_collapsed <= states_raw,
-    i.e. the quotient never invents states;
+    i.e. the quotient never invents states, and (v10) orbits_collapsed <=
+    candidates_evaluated <= candidate_perms (each collapse walked at least
+    one candidate; duplicate skipping only ever drops candidates);
   * when the graph memory gauges are present (v3), graph.bytes_states is
     monotone in the state count (>= states_discovered: a state costs at
     least a byte, in practice dozens) and a nonzero process.peak_rss_bytes
@@ -137,6 +139,24 @@ def check_invariants(doc, errors):
             errors.append(
                 f"$.counters: explorer.symmetry.orbits_collapsed {collapsed} "
                 f"> states_raw {raw}")
+        cost = ("explorer.symmetry.candidate_perms",
+                "explorer.symmetry.candidates_evaluated",
+                "explorer.symmetry.slot_relabels")
+        if any(c not in counters for c in cost):
+            errors.append(
+                "$.counters: explorer.symmetry.* present but missing the "
+                f"cost counters ({sorted(symmetry)})")
+        perms = cval("explorer.symmetry.candidate_perms")
+        evaluated = cval("explorer.symmetry.candidates_evaluated")
+        if collapsed > evaluated:
+            errors.append(
+                f"$.counters: explorer.symmetry.orbits_collapsed {collapsed} "
+                f"> candidates_evaluated {evaluated}")
+        if evaluated > perms:
+            errors.append(
+                "$.counters: explorer.symmetry.candidates_evaluated "
+                f"{evaluated} > candidate_perms {perms} (walked more "
+                "candidates than the full enumeration has)")
 
     por = [n for n in counters if n.startswith("explorer.por.")]
     if por:
@@ -308,7 +328,7 @@ def main():
 
     counters = len(doc.get("counters", []))
     timers = len(doc.get("timers", []))
-    print(f"{args.metrics}: valid boosting-metrics-v9 "
+    print(f"{args.metrics}: valid boosting-metrics-v10 "
           f"({counters} counters, {timers} timers)")
     return 0
 
