@@ -33,9 +33,6 @@ std::uint32_t AnalysisMemo::internAction(const ioa::Action& a) {
     }
     if (slot.hash == h && pool_[slot.idx] == a) return slot.idx;
     i = (i + 1) & mask;
-#if defined(BOOSTING_PREFETCH)
-    __builtin_prefetch(&table_[(i + 1) & mask]);
-#endif
   }
 }
 

@@ -135,11 +135,6 @@ std::size_t StateGraph::findIndexSlot(std::size_t hash) const {
   std::size_t i = hash & mask;
   while (index_[i].head != kNoNode && index_[i].hash != hash) {
     i = (i + 1) & mask;
-#if defined(BOOSTING_PREFETCH)
-    // On a collision run the next probe target is predictable: pull the
-    // following slot while the current one is compared.
-    __builtin_prefetch(&index_[(i + 1) & mask]);
-#endif
   }
   return i;
 }

@@ -49,70 +49,59 @@ void addSaturating(std::atomic<std::uint64_t>& counter, std::uint64_t v) {
 
 // The minimization behind one canonicalize() call.
 //
-// Candidates. Id-free: the permutations that sort the process slots by
-// (cached hash, content), i.e. every assignment of each block of
-// content-equal processes to that block's positions; blocks vary
-// lexicographically (process at each position), the first block slowest.
-// Id-sensitive: all of S_n in lexicographic order of perm. The result is
-// the FIRST candidate whose relabeling is minimal under compareSlot.
+// Candidates: the permutations that sort the process slots by (cached hash,
+// content), i.e. every assignment of each block of content-equal processes
+// to that block's positions; blocks vary lexicographically (process at each
+// position), the first block slowest. The result is the FIRST candidate
+// whose relabeling is minimal under compareSlot.
 //
 // Duplicate skipping. Processes i and j are indistinguishable in s when
 // the transposition (i j) fixes s. That is an equivalence relation
 // (conjugating (i j) by (j k) gives (i k), and the permutations fixing s
 // form a group), so its classes come from one check per (process, class
-// representative) pair. Any permutation sigma that only permutes within
-// classes fixes s, so relabeled(s, p o sigma) == relabeled(s, p): the
-// candidates fall into groups of equal relabelings, each group holding
-// exactly one permutation that keeps every class in ascending process
-// order (lower index at the lower position). That one is also the group's
-// lexicographically first member in both enumeration orders above: at the
-// positions a class occupies (id-free) or across the processes of a class
-// (id-sensitive), ascending is the smallest arrangement. So the first
-// minimum of the kept candidates is the first minimum of the full
-// enumeration -- the same state and the same permutation. Id-free classes
-// lie inside blocks (equal content is necessary), so blocks are refined
-// only when tied.
+// representative) pair. Classes lie inside blocks (equal content is
+// necessary), so only tied blocks are refined. Any permutation sigma that
+// only permutes within classes fixes s, so relabeled(s, p o sigma) ==
+// relabeled(s, p): the candidates fall into groups of equal relabelings,
+// each group holding exactly one permutation that keeps every class in
+// ascending process order (lower index at the lower position). That one is
+// also the group's lexicographically first member: at the positions a class
+// occupies, ascending is the smallest arrangement. So the first minimum of
+// the kept candidates is the first minimum of the full enumeration -- the
+// same state and the same permutation.
 //
-// Lazy comparison. A candidate is compared to the running best one slot
-// at a time, relabeling only that slot and stopping at the first slot that
-// differs; the best candidate's slots are kept as they are computed. In
-// id-free mode the process slots are skipped: position p holds the content
-// of p's block under every candidate.
+// Lazy comparison. Position p holds the content of p's block under every
+// candidate, so process slots are never compared. A candidate is compared
+// to the running best one service slot at a time, relabeling only that slot
+// and stopping at the first slot that differs; the best candidate's service
+// slots are kept as they are computed.
 class OrbitMinimizer {
  public:
-  OrbitMinimizer(const ioa::System& sys, bool idFree,
-                 const ioa::SystemState& s)
+  OrbitMinimizer(const ioa::System& sys, const ioa::SystemState& s)
       : sys_(sys),
         s_(s),
-        idFree_(idFree),
         n_(sys.processCount()),
-        firstCompared_(idFree ? static_cast<std::size_t>(n_) : 0),
+        firstService_(static_cast<std::size_t>(n_)),
         prevMember_(static_cast<std::size_t>(n_), -1) {}
 
   // Runs the minimization; the winner is bestPerm().
   void minimize() {
     std::vector<int> perm = setUp();
     best_ = perm;
-    bestInv_ = SymmetryPolicy::invertPerm(perm);
     bestSlots_.assign(s_.partCount(), SlotValue{});
     candidatesEvaluated = 1;
-    std::vector<int> inv(perm.size());
     while (nextCandidate(perm)) {
       ++candidatesEvaluated;
-      for (std::size_t i = 0; i < perm.size(); ++i) {
-        inv[static_cast<std::size_t>(perm[i])] = static_cast<int>(i);
-      }
       int cmp = 0;
       SlotValue cand;
-      std::size_t pos = firstCompared_;
+      std::size_t pos = firstService_;
       for (; pos < s_.partCount(); ++pos) {
-        cand = slotOf(perm, inv, pos);
+        cand = serviceSlot(perm, pos);
         cmp = compareSlot(cand, bestSlot(pos));
         if (cmp != 0) break;
       }
       if (cmp < 0) {
         best_ = perm;
-        bestInv_ = inv;
         bestSlots_[pos] = std::move(cand);
         for (std::size_t k = pos + 1; k < bestSlots_.size(); ++k) {
           bestSlots_[k].state.reset();
@@ -126,9 +115,14 @@ class OrbitMinimizer {
   // relabeled(s, bestPerm()), built once; nullopt when it equals s.
   std::optional<ioa::SystemState> representative() {
     if (SymmetryPolicy::isIdentity(best_)) return std::nullopt;
+    const std::vector<int> inv = SymmetryPolicy::invertPerm(best_);
+    for (std::size_t pos = 0; pos < firstService_; ++pos) {
+      const std::size_t from = sys_.slotForProcess(inv[pos]);
+      bestSlots_[pos] = {s_.slotShared(from), s_.slotHashValue(from)};
+    }
     bool same = true;
     for (std::size_t pos = 0; pos < s_.partCount(); ++pos) {
-      const SlotValue& b = bestSlot(pos);
+      const SlotValue& b = bestSlot(pos);  // fills every slot for the build
       if (b.state.get() != s_.slotShared(pos).get() &&
           (b.hash != s_.slotHashValue(pos) ||
            !b.state->equals(s_.part(pos)))) {
@@ -159,18 +153,10 @@ class OrbitMinimizer {
     std::vector<int> arr;    // arr[k]: the process placed at basePos + k
   };
 
-  // Builds the blocks (id-free) and the indistinguishability classes;
-  // returns the first candidate.
+  // Builds the blocks and the indistinguishability classes; returns the
+  // first candidate.
   std::vector<int> setUp() {
     std::vector<int> perm = SymmetryPolicy::identityPerm(n_);
-    if (!idFree_) {
-      findClasses(perm);
-      for (int k = 2; k <= n_; ++k) {
-        candidatePerms =
-            mulSaturating(candidatePerms, static_cast<std::uint64_t>(k));
-      }
-      return perm;
-    }
     const std::size_t n = static_cast<std::size_t>(n_);
     std::vector<std::size_t> h(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -250,14 +236,14 @@ class OrbitMinimizer {
     }
   }
 
-  // Does the transposition (a b) fix s? Id-free process slots of a block
-  // hold equal content, so only the compared slots need checking.
+  // Does the transposition (a b) fix s? The process slots of a block hold
+  // equal content, so only the service slots need checking.
   bool fixedBySwap(int a, int b) {
     std::vector<int> tau = SymmetryPolicy::identityPerm(n_);
     std::swap(tau[static_cast<std::size_t>(a)],
               tau[static_cast<std::size_t>(b)]);
-    for (std::size_t pos = firstCompared_; pos < s_.partCount(); ++pos) {
-      const SlotValue v = slotOf(tau, tau, pos);  // tau is an involution
+    for (std::size_t pos = firstService_; pos < s_.partCount(); ++pos) {
+      const SlotValue v = serviceSlot(tau, pos);
       if (v.hash != s_.slotHashValue(pos) ||
           !sameContent(*v.state, s_.part(pos))) {
         return false;
@@ -275,12 +261,6 @@ class OrbitMinimizer {
 
   // Advances `perm` to the next kept candidate; false once exhausted.
   bool nextCandidate(std::vector<int>& perm) {
-    if (!idFree_) {
-      while (std::next_permutation(perm.begin(), perm.end())) {
-        if (keepsClassesAscending(perm)) return true;
-      }
-      return false;
-    }
     for (std::size_t bi = blocks_.size(); bi-- > 0;) {
       Block& b = blocks_[bi];
       const bool advanced = nextArrangement(b.arr);
@@ -289,16 +269,6 @@ class OrbitMinimizer {
       if (advanced) return true;
     }
     return false;
-  }
-
-  bool keepsClassesAscending(const std::vector<int>& perm) const {
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      const int prev = prevMember_[i];
-      if (prev >= 0 && perm[static_cast<std::size_t>(prev)] > perm[i]) {
-        return false;
-      }
-    }
-    return true;
   }
 
   // Lexicographic successor of `arr` among the arrangements that keep every
@@ -327,38 +297,32 @@ class OrbitMinimizer {
     return false;
   }
 
-  // Slot `pos` of relabeled(s, perm), given inv == perm^-1.
-  SlotValue slotOf(const std::vector<int>& perm, const std::vector<int>& inv,
-                   std::size_t pos) {
-    std::size_t from = pos;
-    if (pos < static_cast<std::size_t>(n_)) {
-      from = sys_.slotForProcess(inv[pos]);
-      if (idFree_) return {s_.slotShared(from), s_.slotHashValue(from)};
-    }
+  // Service slot `pos` of relabeled(s, perm).
+  SlotValue serviceSlot(const std::vector<int>& perm, std::size_t pos) {
     ++slotRelabels;
     std::shared_ptr<const ioa::AutomatonState> ns =
-        sys_.componentAtSlot(from).relabeledState(s_.part(from), perm);
+        sys_.componentAtSlot(pos).relabeledState(s_.part(pos), perm);
     assert(ns && "relabeledState support was validated in forSystem");
     const std::size_t h = ns->hash();
     return {std::move(ns), h};
   }
 
+  // Slot `pos` of the best candidate's relabeling. Service slots are
+  // computed on first use; process slots are filled by representative().
   const SlotValue& bestSlot(std::size_t pos) {
     SlotValue& b = bestSlots_[pos];
-    if (!b.state) b = slotOf(best_, bestInv_, pos);
+    if (!b.state) b = serviceSlot(best_, pos);
     return b;
   }
 
   const ioa::System& sys_;
   const ioa::SystemState& s_;
-  const bool idFree_;
   const int n_;
-  const std::size_t firstCompared_;
+  const std::size_t firstService_;
   // prevMember_[i]: the next lower process in i's class, -1 for the lowest.
   std::vector<int> prevMember_;
   std::vector<Block> blocks_;
   std::vector<int> best_;
-  std::vector<int> bestInv_;
   std::vector<SlotValue> bestSlots_;
 };
 
@@ -415,15 +379,10 @@ std::shared_ptr<const SymmetryPolicy> SymmetryPolicy::forSystem(
   };
 
   if (mode == SymmetryMode::Off) return disabled("disabled (--symmetry off)");
-  const ioa::ProcessSymmetry decl = sys.processSymmetry();
-  if (decl == ioa::ProcessSymmetry::None) {
+  if (!sys.processSymmetric()) {
     return disabled("candidate declares no process symmetry");
   }
   if (pol->n_ < 2) return disabled("fewer than two processes: trivial group");
-  if (decl == ioa::ProcessSymmetry::IdSensitive &&
-      pol->n_ > kMaxIdSensitiveN) {
-    return disabled("n exceeds the id-sensitive orbit-enumeration cap");
-  }
   // Full S_n is an automorphism group only if every service is connected
   // to every process (the connection pattern is permutation-invariant).
   for (int id : sys.serviceIds()) {
@@ -440,16 +399,8 @@ std::shared_ptr<const SymmetryPolicy> SymmetryPolicy::forSystem(
       return disabled("a service does not support relabeling");
     }
   }
-  if (decl == ioa::ProcessSymmetry::IdSensitive) {
-    for (std::size_t k = 0; k < firstService; ++k) {
-      if (!sys.componentAtSlot(k).relabeledState(init.part(k), id)) {
-        return disabled("a process does not support relabeling");
-      }
-    }
-  }
 
   pol->trivial_ = false;
-  pol->strategy_ = decl;
   return pol;
 }
 
@@ -462,17 +413,9 @@ ioa::SystemState SymmetryPolicy::relabeled(const ioa::SystemState& s,
   for (int i = 0; i < n_; ++i) {
     const std::size_t from = sys_->slotForProcess(i);
     const std::size_t to = sys_->slotForProcess(perm[static_cast<std::size_t>(i)]);
-    if (strategy_ == ioa::ProcessSymmetry::IdFree) {
-      // Id-free process content is position-independent: move the shared
-      // pointer, no clone, reusing the cached slot hash.
-      t.setSlot(to, s.slotShared(from), s.slotHashValue(from));
-    } else {
-      std::shared_ptr<const ioa::AutomatonState> ns =
-          sys_->componentAtSlot(from).relabeledState(s.part(from), perm);
-      assert(ns && "relabeledState support was validated in forSystem");
-      const std::size_t h = ns->hash();
-      t.setSlot(to, std::move(ns), h);
-    }
+    // Process content is id-free, hence position-independent: move the
+    // shared pointer, no clone, reusing the cached slot hash.
+    t.setSlot(to, s.slotShared(from), s.slotHashValue(from));
   }
   for (std::size_t k = firstService; k < s.partCount(); ++k) {
     std::shared_ptr<const ioa::AutomatonState> ns =
@@ -505,7 +448,7 @@ std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
   statesRaw_.fetch_add(1, std::memory_order_relaxed);
   s.hash();  // flush the per-slot caches the candidate keys reuse
 
-  OrbitMinimizer m(*sys_, strategy_ == ioa::ProcessSymmetry::IdFree, s);
+  OrbitMinimizer m(*sys_, s);
   m.minimize();
   std::optional<ioa::SystemState> rep = m.representative();
   addSaturating(candidatePerms_, m.candidatePerms);

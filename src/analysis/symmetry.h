@@ -7,7 +7,7 @@
 // multiset of local states and how the services relate them. For a
 // candidate whose automorphism group is the full S_n (every process runs
 // the same program and every service is connected to all processes --
-// relay, flooding), two configurations that differ by a permutation of
+// relay), two configurations that differ by a permutation of
 // process identities generate permuted copies of the same execution
 // subtree: valence, bivalence, hooks and the adversary's gamma
 // construction are all preserved by relabeling. The exploration engines
@@ -17,36 +17,39 @@
 // Canonical form: the minimum, over the group, of the relabeled state
 // under a deterministic per-slot order (cached slot hash first, serialized
 // slot content as the tie-break -- reusing the COW representation's
-// per-slot hash caches, see DESIGN.md "State representation"). For
-// id-free candidates (process states never mention process identities,
-// declared via System::declareProcessSymmetry) the minimization sorts the
-// process slots by content key and only enumerates permutations within
-// tied blocks; id-sensitive candidates (flooding: states index messages by
-// sender) relabel through Automaton::relabeledState and minimize over the
-// full group, so the policy caps n at kMaxIdSensitiveN. Ties go to the
+// per-slot hash caches, see DESIGN.md "State representation"). A candidate
+// declares the symmetry (System::declareProcessSymmetry) only when its
+// process states never mention process identities, so relabeling moves
+// process slots without rewriting them. The process part of the canonical
+// form is therefore the multiset of local states, sorted by content key,
+// and the minimization only enumerates permutations within blocks of tied
+// process slots, comparing the relabeled service slots. Ties go to the
 // first minimum in that enumeration order (block by block, lexicographic).
+// Candidates whose process states embed identities (flooding: messages
+// indexed by sender) declare no symmetry and run unreduced.
 //
 // The minimization never enumerates duplicates: processes i and j are
 // indistinguishable in s when the transposition (i j) fixes s, and every
 // candidate that orders two indistinguishable processes against their
 // indices relabels s exactly like an earlier candidate that does not, so
-// it is skipped. Candidates are compared to the running best one slot at a
-// time, relabeling only the slot being compared and stopping at the first
-// slot that differs (id-free process slots are equal across candidates by
-// construction and never compared); the winner is materialized once. The
-// representative AND its permutation are those of the full enumeration --
-// the argument is spelled out in symmetry.cpp and checked against a
-// reference copy of the full enumeration by symmetry_canon_fuzz_test.
+// it is skipped. Candidates are compared to the running best one service
+// slot at a time, relabeling only the slot being compared and stopping at
+// the first slot that differs (process slots are equal across candidates
+// by construction and never compared); the winner is materialized once.
+// The representative AND its permutation are those of the full
+// enumeration -- the argument is spelled out in symmetry.cpp and checked
+// against a reference copy of the full enumeration by
+// symmetry_canon_fuzz_test.
 //
 // Soundness hinges on equivariance of the composed transition function:
 //   relabel_pi(apply(s, a)) == apply(relabel_pi(s), relabel_pi(a))
 // which holds because (a) the composition routes actions structurally by
-// endpoint, (b) each component's relabeledState/relabeledPayload maps every
-// embedded process identity through pi, and (c) components treat endpoints
-// symmetrically (validated assumptions; exercised by the symmetry fuzz
-// suite). Witnesses found in the quotient graph are lifted back to real
-// executions by accumulating the canonicalization permutations along the
-// path (see adversary.cpp).
+// endpoint, (b) process states embed no process identity and each
+// service's relabeledState/relabeledPayload maps every embedded identity
+// through pi, and (c) components treat endpoints symmetrically (validated
+// assumptions; exercised by the symmetry fuzz suite). Witnesses found in
+// the quotient graph are lifted back to real executions by accumulating
+// the canonicalization permutations along the path (see adversary.cpp).
 //
 // Thread safety: const-after-construction; canonicalize() may be called
 // concurrently (statistics are relaxed atomics). The policy borrows the
@@ -72,9 +75,6 @@ enum class SymmetryMode { Auto, On, Off };
 
 class SymmetryPolicy {
  public:
-  // Full-group minimization through relabeledState is factorial in n.
-  static constexpr int kMaxIdSensitiveN = 6;
-
   struct CanonResult {
     ioa::SystemState state;  // the orbit representative, != the input
     std::vector<int> perm;   // state == relabeled(input, perm)
@@ -82,8 +82,8 @@ class SymmetryPolicy {
 
   // Builds the policy for `sys` under `mode`. Never fails: when the
   // reduction cannot be applied soundly (no declared symmetry, asymmetric
-  // service connection pattern, missing relabeledState support, n out of
-  // range, mode Off) the returned policy is trivial() and disabledReason()
+  // service connection pattern, a service without relabeledState support,
+  // fewer than two processes, mode Off) the returned policy is trivial() and disabledReason()
   // says why. The System must outlive the policy.
   static std::shared_ptr<const SymmetryPolicy> forSystem(
       const ioa::System& sys, SymmetryMode mode);
@@ -91,7 +91,6 @@ class SymmetryPolicy {
   // Trivial group: canonicalize() always answers "already canonical".
   bool trivial() const { return trivial_; }
   const std::string& disabledReason() const { return disabledReason_; }
-  ioa::ProcessSymmetry strategy() const { return strategy_; }
 
   // The orbit representative of `s`, or nullopt when `s` already is it
   // (the common case once exploration reaches a steady state). Never
@@ -100,8 +99,8 @@ class SymmetryPolicy {
   std::optional<CanonResult> canonicalize(const ioa::SystemState& s) const;
 
   // `s` relabeled under `perm` (perm[i] is the new index of process i):
-  // process slot i's content moves to slot perm[i] (relabeled through the
-  // automaton when id-sensitive) and every service slot is rewritten via
+  // process slot i's content moves to slot perm[i] unchanged and every
+  // service slot is rewritten via
   // Automaton::relabeledState. Exposed for the witness-lifting pass and
   // the fuzz suite.
   ioa::SystemState relabeled(const ioa::SystemState& s,
@@ -130,7 +129,7 @@ class SymmetryPolicy {
     return orbitsCollapsed_.load(std::memory_order_relaxed);
   }
   // Minimization cost: the permutations the full enumeration would relabel
-  // (tied-block factorials, or n! when id-sensitive), the ones actually
+  // (the product of the tied-block factorials), the ones actually
   // walked after duplicate skipping, and the component relabelings
   // (relabeledState calls) spent. orbitsCollapsed <= candidatesEvaluated
   // <= candidatePerms.
@@ -150,7 +149,6 @@ class SymmetryPolicy {
   const ioa::System* sys_ = nullptr;
   bool trivial_ = true;
   std::string disabledReason_;
-  ioa::ProcessSymmetry strategy_ = ioa::ProcessSymmetry::None;
   int n_ = 0;
 
   mutable std::atomic<std::uint64_t> statesRaw_{0};

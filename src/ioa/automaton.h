@@ -69,10 +69,11 @@ class Automaton {
   // `s` relabeled under the process permutation `perm` (perm[i] is the new
   // index of process i): every process identity embedded in the state --
   // buffer keys, message sender/recipient fields -- is mapped through
-  // `perm`. Returns nullptr when the component does not support relabeling,
-  // in which case the symmetry layer disables itself for the whole system.
-  // Components whose states never mention process identities may return
-  // clone(). Must be equivariant with apply():
+  // `perm`. Only services implement it: a symmetric system's process states
+  // are id-free (ioa::System::declareProcessSymmetry), so the symmetry layer
+  // moves process slots without relabeling them. Returns nullptr when the
+  // service does not support relabeling, in which case the symmetry layer
+  // disables itself for the whole system. Must be equivariant with apply():
   //   relabeledState(apply(s, a), perm) == apply(relabeledState(s, perm),
   //                                              relabel(a, perm)).
   virtual std::unique_ptr<AutomatonState> relabeledState(
@@ -83,7 +84,7 @@ class Automaton {
   }
 
   // Companion for action payloads: the payload of an Invoke/Respond of this
-  // component under `perm` (identity for components whose payloads carry no
+  // service under `perm` (identity for services whose payloads carry no
   // process identities).
   virtual util::Value relabeledPayload(const util::Value& v,
                                        const std::vector<int>& perm) const {

@@ -126,39 +126,11 @@ std::size_t SystemState::hash() const {
 }
 
 std::size_t SystemState::fullRehash() const {
-  const std::size_t n = slots_.size();
-#if defined(BOOSTING_PREFETCH)
-  // Batched 4-wide slot digest: four independent accumulators break the
-  // serial XOR dependency chain so the mix64 pipelines overlap, and each
-  // round prefetches the slot states of the next round. XOR is
-  // commutative/associative, so the combined value is bit-identical to
-  // the scalar loop's.
-  std::size_t h0 = kSystemStateHashSeed, h1 = 0, h2 = 0, h3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 <= n) {
-      __builtin_prefetch(slots_[i + 4].state.get());
-      __builtin_prefetch(slots_[i + 5].state.get());
-      __builtin_prefetch(slots_[i + 6].state.get());
-      __builtin_prefetch(slots_[i + 7].state.get());
-    }
-    h0 ^= slotMix(i, slots_[i].state->hash());
-    h1 ^= slotMix(i + 1, slots_[i + 1].state->hash());
-    h2 ^= slotMix(i + 2, slots_[i + 2].state->hash());
-    h3 ^= slotMix(i + 3, slots_[i + 3].state->hash());
-  }
-  std::size_t h = h0 ^ h1 ^ h2 ^ h3;
-  for (; i < n; ++i) {
-    h ^= slotMix(i, slots_[i].state->hash());
-  }
-  return h;
-#else
   std::size_t h = kSystemStateHashSeed;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
     h ^= slotMix(i, slots_[i].state->hash());
   }
   return h;
-#endif
 }
 
 bool SystemState::equals(const SystemState& other) const {

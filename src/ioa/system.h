@@ -211,20 +211,14 @@ class SlotCanonTable {
       byKey_;
 };
 
-// How a system's process-permutation group acts on process component
-// states, declared by the system builder (the analysis engine trusts the
-// declaration; the symmetry fuzz suite exercises it):
-//   None        -- no symmetry declared: the group is trivial (asymmetric
-//                  protocols like bridge/rotating, or simply undeclared).
-//   IdFree      -- every permutation of the full S_n is an automorphism and
-//                  process states never embed process identities, so
-//                  relabeling a process slot is moving its (shared) content
-//                  to the permuted position (relay).
-//   IdSensitive -- full S_n, but process states embed process identities,
-//                  so relabeling goes through Automaton::relabeledState
-//                  (flooding, whose states index messages by sender).
-enum class ProcessSymmetry { None, IdFree, IdSensitive };
-
+// Process symmetry is a declaration by the system builder (the analysis
+// engine trusts it; the symmetry fuzz suite exercises it): every
+// permutation of the full S_n is an automorphism, and process states never
+// embed process identities, so relabeling a process slot is moving its
+// (shared) content to the permuted position (relay). Systems that do not
+// declare it (asymmetric protocols like bridge/rotating, and protocols
+// whose process states name other processes, like flooding) get the
+// trivial group.
 class System {
  public:
   System() = default;
@@ -288,9 +282,9 @@ class System {
   void injectInit(SystemState& s, int endpoint, util::Value v) const;
   void injectFail(SystemState& s, int endpoint) const;
 
-  // -- Symmetry declaration (see ProcessSymmetry above) --------------------
-  void declareProcessSymmetry(ProcessSymmetry s) { processSymmetry_ = s; }
-  ProcessSymmetry processSymmetry() const { return processSymmetry_; }
+  // -- Symmetry declaration (see the comment above System) ----------------
+  void declareProcessSymmetry() { processSymmetric_ = true; }
+  bool processSymmetric() const { return processSymmetric_; }
 
  private:
   void rebuildTaskCache();
@@ -300,7 +294,7 @@ class System {
   std::vector<ServiceMeta> serviceMetas_;
   std::map<int, std::size_t> serviceSlotById_;  // id -> absolute slot
   std::vector<TaskId> taskCache_;
-  ProcessSymmetry processSymmetry_ = ProcessSymmetry::None;
+  bool processSymmetric_ = false;
 };
 
 template <typename Fn>

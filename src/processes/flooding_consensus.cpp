@@ -41,9 +41,8 @@ class FloodState final : public ProcessStateBase {
            received == o->received && heardFrom == o->heardFrom &&
            decidePending == o->decidePending && done == o->done;
   }
-  // Faithful serialization (injective on distinct states): the symmetry
-  // layer tie-breaks orbit minimization on str(), so every field -- queue
-  // contents and the per-sender received values included -- must show.
+  // Faithful serialization (injective on distinct states): every field --
+  // queue contents and the per-sender received values included -- shows.
   std::string str() const override {
     std::string out = "flood heard=" + std::to_string(heardFrom) + " outq=[";
     for (std::size_t j = 0; j < sendQueue.size(); ++j) {
@@ -92,22 +91,6 @@ std::unique_ptr<ioa::AutomatonState> FloodingConsensusProcess::initialState()
   auto s = std::make_unique<FloodState>();
   s->received.assign(static_cast<std::size_t>(n_), Value::nil());
   return s;
-}
-
-std::unique_ptr<ioa::AutomatonState> FloodingConsensusProcess::relabeledState(
-    const ioa::AutomatonState& state, const std::vector<int>& perm) const {
-  const auto& s = dynamic_cast<const FloodState&>(state);
-  auto out = std::make_unique<FloodState>(s);
-  for (std::size_t j = 0; j < s.received.size(); ++j) {
-    out->received[static_cast<std::size_t>(perm[j])] = s.received[j];
-  }
-  for (std::size_t j = 0; j < s.sendQueue.size(); ++j) {
-    const Value& v = s.sendQueue[j];  // ("send", to, m); m carries no ids
-    out->sendQueue[j] =
-        sym("send", Value(perm[static_cast<std::size_t>(v.at(1).asInt())]),
-            v.at(2));
-  }
-  return out;
 }
 
 Action FloodingConsensusProcess::chooseAction(
@@ -169,24 +152,13 @@ std::unique_ptr<ioa::System> buildFloodingConsensusSystem(
   }
   services::CanonicalObliviousService::Options opts;
   opts.policy = spec.policy;
-  // Channel values embed sender/recipient identities; rewrite them when the
-  // symmetry layer relabels a configuration.
-  opts.relabelValue = [](const Value& v, const std::vector<int>& perm) {
-    if ((v.tag() == "send" || v.tag() == "msg") && v.size() == 3) {
-      return sym(std::string(v.tag()),
-                 Value(perm[static_cast<std::size_t>(v.at(1).asInt())]),
-                 v.at(2));
-    }
-    return v;
-  };
   auto fabric = std::make_shared<services::CanonicalObliviousService>(
       types::pointToPointChannelType(), spec.channelId, all,
       spec.channelResilience, opts);
   sys->addService(fabric, fabric->meta());
-  // Every process runs the same program and the fabric spans all of them:
-  // the full S_n acts on configurations, but flood states embed process
-  // identities, so relabeling must go through relabeledState.
-  sys->declareProcessSymmetry(ioa::ProcessSymmetry::IdSensitive);
+  // No process symmetry is declared: flood states index messages by sender,
+  // so relabeling would have to rewrite process slots, and the orbit
+  // minimizer (analysis/symmetry.h) only moves them.
   return sys;
 }
 

@@ -27,11 +27,6 @@ class FloodingConsensusProcess : public ProcessBase {
 
   std::string name() const override;
   std::unique_ptr<ioa::AutomatonState> initialState() const override;
-  // Flood states embed process identities (messages are indexed by
-  // sender), so the symmetry layer relabels them explicitly.
-  std::unique_ptr<ioa::AutomatonState> relabeledState(
-      const ioa::AutomatonState& s,
-      const std::vector<int>& perm) const override;
   ioa::Automaton::TaskStructure taskStructure() const override {
     ioa::Automaton::TaskStructure ts;
     ts.conformant = true;

@@ -262,7 +262,7 @@ std::unique_ptr<ioa::System> buildRelayConsensusSystem(
   // Every process runs the same program, both services span all processes,
   // and relay states never mention process identities: the full S_n acts on
   // configurations by moving process slots and remapping service buffers.
-  sys->declareProcessSymmetry(ioa::ProcessSymmetry::IdFree);
+  sys->declareProcessSymmetry();
   return sys;
 }
 

@@ -37,7 +37,19 @@ class Value {
   Value(List v) : rep_(std::move(v)) {}        // NOLINT(google-explicit-constructor)
 
   Value(const Value&) = default;
+  // GCC 12 warns -Wmaybe-uninitialized in the List branch of the variant
+  // move when a Value holding a scalar is moved (say, into a pair): it does
+  // not tie that branch to the index, which rules it out. A move that
+  // switches on index() itself draws the same warning, so the suppression
+  // is scoped to this constructor (GCC honours it in every inlined copy).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
   Value(Value&&) noexcept = default;
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
   // Copy-then-move: variant's copy assignment destroys the current
   // alternative before reading the source, so `v = v.at(1)` (assigning a
   // value from its own list) would read freed memory. Aliasing like that

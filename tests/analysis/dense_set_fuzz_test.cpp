@@ -109,7 +109,9 @@ TEST(DenseIndexMap, MatchesUnorderedMapOracle) {
           const int* got = dense.find(key);
           auto it = oracle.find(key);
           ASSERT_EQ(got != nullptr, it != oracle.end()) << "key " << key;
-          if (got) EXPECT_EQ(*got, it->second) << "key " << key;
+          if (got) {
+            EXPECT_EQ(*got, it->second) << "key " << key;
+          }
           EXPECT_EQ(dense.contains(key), it != oracle.end());
           break;
         }

@@ -19,7 +19,6 @@
 #include "analysis/explore.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
 #include "processes/tob_consensus.h"
 #include "sim/runner.h"
@@ -86,41 +85,29 @@ TEST(ObsMetrics, CacheHitsPlusMissesEqualLookups) {
   EXPECT_GT(reg.value("cache.enabled_lookups"), 0u);
 }
 
-// Each symmetry strategy reports what its orbit minimization cost, and
+// The symmetry reduction reports what its orbit minimization cost, and
 // the cost counters nest: every collapse walked a candidate, and duplicate
 // skipping walks no more candidates than the full enumeration has.
 TEST(ObsMetrics, SymmetryCostCountersReported) {
-  processes::FloodingConsensusSpec flooding;
-  flooding.processCount = 3;
-  flooding.channelResilience = 1;
-  flooding.policy = services::DummyPolicy::PreferDummy;
-  struct Fixture {
-    std::unique_ptr<ioa::System> sys;
-    int claim;
-  };
-  Fixture fixtures[] = {
-      {relay(4, 1), 2},
-      {processes::buildFloodingConsensusSystem(flooding), 2}};
-  for (const auto& fx : fixtures) {
-    obs::Registry reg;
-    AdversaryConfig cfg;
-    cfg.claimedFailures = fx.claim;
-    cfg.symmetry = SymmetryMode::On;
-    cfg.exploration.metrics = &reg;
-    const AdversaryReport report = analyzeConsensusCandidate(*fx.sys, cfg);
-    ASSERT_TRUE(report.symmetryReduced) << report.symmetryNote;
-    const std::uint64_t raw = reg.value("explorer.symmetry.states_raw");
-    const std::uint64_t collapsed =
-        reg.value("explorer.symmetry.orbits_collapsed");
-    const std::uint64_t evaluated =
-        reg.value("explorer.symmetry.candidates_evaluated");
-    const std::uint64_t perms = reg.value("explorer.symmetry.candidate_perms");
-    EXPECT_GT(collapsed, 0u);
-    EXPECT_LE(collapsed, evaluated);
-    EXPECT_GE(evaluated, raw);    // at least one candidate per call
-    EXPECT_LT(evaluated, perms);  // duplicates were skipped
-    EXPECT_GT(reg.value("explorer.symmetry.slot_relabels"), 0u);
-  }
+  auto sys = relay(4, 1);
+  obs::Registry reg;
+  AdversaryConfig cfg;
+  cfg.claimedFailures = 2;
+  cfg.symmetry = SymmetryMode::On;
+  cfg.exploration.metrics = &reg;
+  const AdversaryReport report = analyzeConsensusCandidate(*sys, cfg);
+  ASSERT_TRUE(report.symmetryReduced) << report.symmetryNote;
+  const std::uint64_t raw = reg.value("explorer.symmetry.states_raw");
+  const std::uint64_t collapsed =
+      reg.value("explorer.symmetry.orbits_collapsed");
+  const std::uint64_t evaluated =
+      reg.value("explorer.symmetry.candidates_evaluated");
+  const std::uint64_t perms = reg.value("explorer.symmetry.candidate_perms");
+  EXPECT_GT(collapsed, 0u);
+  EXPECT_LE(collapsed, evaluated);
+  EXPECT_GE(evaluated, raw);    // at least one candidate per call
+  EXPECT_LT(evaluated, perms);  // duplicates were skipped
+  EXPECT_GT(reg.value("explorer.symmetry.slot_relabels"), 0u);
 }
 
 TEST(ObsMetrics, PhaseTimersRecorded) {

@@ -163,9 +163,10 @@ TEST(PorEquivalence, RelayN4FOneMatrix) {
 TEST(PorEquivalence, FloodingN3Matrix) {
   // Channels respond to the RECIPIENT, not the invoker, so the policy
   // must keep the conservative whole-response footprint; the reduction
-  // still engages and must stay sound.
+  // still engages and must stay sound. Flooding declares no process
+  // symmetry (its states name senders), so symmetry declines.
   auto sys = floodingFixture(3, 0);
-  runMatrix(*sys, 1, /*expectPor=*/true, /*expectSym=*/true);
+  runMatrix(*sys, 1, /*expectPor=*/true, /*expectSym=*/false);
 }
 
 TEST(PorEquivalence, BridgeN3PorWithoutSymmetry) {

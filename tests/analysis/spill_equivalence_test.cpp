@@ -36,7 +36,6 @@
 #include "analysis/state_graph.h"
 #include "analysis/symmetry.h"
 #include "analysis/por.h"
-#include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
 
 namespace boosting::analysis {
@@ -48,14 +47,6 @@ std::unique_ptr<ioa::System> relayFixture(int n, int f) {
   spec.objectResilience = f;
   spec.policy = services::DummyPolicy::PreferDummy;
   return processes::buildRelayConsensusSystem(spec);
-}
-
-std::unique_ptr<ioa::System> floodingFixture(int n, int f) {
-  processes::FloodingConsensusSpec spec;
-  spec.processCount = n;
-  spec.channelResilience = f;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  return processes::buildFloodingConsensusSystem(spec);
 }
 
 // A dedicated spill directory per test so the no-leaked-files property is
@@ -352,7 +343,6 @@ void runBudgetedVsUnbounded(std::unique_ptr<ioa::System> (*build)(), Mode mode,
 }
 
 std::unique_ptr<ioa::System> relay31() { return relayFixture(3, 1); }
-std::unique_ptr<ioa::System> flooding30() { return floodingFixture(3, 0); }
 
 TEST(SpillEquivalence, BitIdenticalRelay31Plain) {
   runBudgetedVsUnbounded(relay31, Mode::Plain);
@@ -364,10 +354,6 @@ TEST(SpillEquivalence, BitIdenticalRelay31Symmetry) {
 
 TEST(SpillEquivalence, BitIdenticalRelay31SymmetryPor) {
   runBudgetedVsUnbounded(relay31, Mode::SymPor, /*expectEvictions=*/false);
-}
-
-TEST(SpillEquivalence, BitIdenticalFlooding30Symmetry) {
-  runBudgetedVsUnbounded(flooding30, Mode::Sym);
 }
 
 TEST(SpillEquivalence, FrontierSpillEngagesAndReportsStats) {

@@ -17,7 +17,6 @@
 
 #include "analysis/bivalence.h"
 #include "analysis/symmetry.h"
-#include "processes/flooding_consensus.h"
 #include "processes/relay_consensus.h"
 #include "util/rng.h"
 
@@ -30,14 +29,6 @@ std::unique_ptr<ioa::System> relayFixture(int n) {
   spec.objectResilience = 0;
   spec.policy = services::DummyPolicy::PreferDummy;
   return processes::buildRelayConsensusSystem(spec);
-}
-
-std::unique_ptr<ioa::System> floodingFixture(int n) {
-  processes::FloodingConsensusSpec spec;
-  spec.processCount = n;
-  spec.channelResilience = 0;
-  spec.policy = services::DummyPolicy::PreferDummy;
-  return processes::buildFloodingConsensusSystem(spec);
 }
 
 ioa::SystemState canonOf(const SymmetryPolicy& pol,
@@ -168,15 +159,6 @@ TEST(SymmetryCanonFuzz, RelayN4IdFree) {
   checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/3);
 }
 
-TEST(SymmetryCanonFuzz, FloodingN3IdSensitive) {
-  auto sys = floodingFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
-  ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
-  ASSERT_EQ(pol->strategy(), ioa::ProcessSymmetry::IdSensitive);
-  util::Rng rng(0x0ddba11c0ffee000ull);
-  checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/3);
-}
-
 TEST(SymmetryCanonFuzz, RelayEquivariance) {
   auto sys = relayFixture(3);
   auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
@@ -185,22 +167,13 @@ TEST(SymmetryCanonFuzz, RelayEquivariance) {
   checkEquivariance(*sys, *pol, rng);
 }
 
-TEST(SymmetryCanonFuzz, FloodingEquivariance) {
-  auto sys = floodingFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
-  ASSERT_FALSE(pol->trivial());
-  util::Rng rng(0x1234123412341234ull);
-  checkEquivariance(*sys, *pol, rng);
-}
-
 // -- Exactness oracle -----------------------------------------------------
 //
 // A test-only reference minimization, with no duplicate skipping and no
 // lazy comparison: enumerate every candidate permutation (each assignment
-// of a block of content-equal processes to the block's positions when
-// id-free, all of S_n when id-sensitive), relabel each into a whole state,
-// compare whole states slot by slot on (cached hash, str()), and keep the
-// first minimum.
+// of a block of content-equal processes to the block's positions), relabel
+// each into a whole state, compare whole states slot by slot on (cached
+// hash, str()), and keep the first minimum.
 
 int referenceCompare(const ioa::SystemState& a, const ioa::SystemState& b) {
   const std::size_t k = a.partCount();
@@ -218,7 +191,7 @@ int referenceCompare(const ioa::SystemState& a, const ioa::SystemState& b) {
 
 struct ReferencePerms {
   std::vector<std::vector<int>> perms;
-  std::size_t largestBlock = 0;  // id-free: the largest tied block
+  std::size_t largestBlock = 0;  // the largest tied block
 };
 
 void enumerateBlocks(const std::vector<std::vector<int>>& blocks,
@@ -240,17 +213,9 @@ void enumerateBlocks(const std::vector<std::vector<int>>& blocks,
 }
 
 ReferencePerms referenceCandidatePerms(const ioa::System& sys,
-                                       const SymmetryPolicy& pol,
                                        const ioa::SystemState& s) {
   const int n = sys.processCount();
   ReferencePerms out;
-  if (pol.strategy() == ioa::ProcessSymmetry::IdSensitive) {
-    std::vector<int> p = SymmetryPolicy::identityPerm(n);
-    do {
-      out.perms.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
-    return out;
-  }
   const auto keyOf = [&](int i) {
     const std::size_t slot = sys.slotForProcess(i);
     return std::make_pair(s.slotHashValue(slot), s.part(slot).str());
@@ -284,7 +249,7 @@ std::optional<SymmetryPolicy::CanonResult> referenceCanonicalize(
     const ioa::SystemState& s) {
   s.hash();
   const std::vector<std::vector<int>> perms =
-      referenceCandidatePerms(sys, pol, s).perms;
+      referenceCandidatePerms(sys, s).perms;
   std::optional<ioa::SystemState> best;
   std::size_t bestIdx = 0;
   for (std::size_t i = 0; i < perms.size(); ++i) {
@@ -317,7 +282,7 @@ void checkMatchesReference(const ioa::System& sys, const SymmetryPolicy& pol,
   std::size_t largestBlock = 0;
   for (const ioa::SystemState& s : states) {
     largestBlock = std::max(largestBlock,
-                            referenceCandidatePerms(sys, pol, s).largestBlock);
+                            referenceCandidatePerms(sys, s).largestBlock);
     const auto want = referenceCanonicalize(sys, pol, s);
     const auto got = pol.canonicalize(s);
     ASSERT_EQ(got.has_value(), want.has_value()) << s.str();
@@ -331,13 +296,11 @@ void checkMatchesReference(const ioa::System& sys, const SymmetryPolicy& pol,
         << "permutation differs from the full enumeration at\n" << s.str();
   }
   // The sample must exercise the interesting cases: states the quotient
-  // rewrites, candidates skipped as duplicates and (id-free) a tie block
-  // spanning every process.
+  // rewrites, candidates skipped as duplicates and a tie block spanning
+  // every process.
   EXPECT_GT(collapsed, 0u);
   EXPECT_LT(pol.candidatesEvaluated(), pol.candidatePerms());
-  if (pol.strategy() == ioa::ProcessSymmetry::IdFree) {
-    EXPECT_EQ(largestBlock, static_cast<std::size_t>(n));
-  }
+  EXPECT_EQ(largestBlock, static_cast<std::size_t>(n));
 }
 
 TEST(SymmetryCanonFuzz, MatchesFullEnumerationRelay) {
@@ -347,19 +310,9 @@ TEST(SymmetryCanonFuzz, MatchesFullEnumerationRelay) {
     auto sys = relayFixture(n);
     auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
     ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
-    ASSERT_EQ(pol->strategy(), ioa::ProcessSymmetry::IdFree);
     util::Rng rng(seeds[n - 3]);
     checkMatchesReference(*sys, *pol, rng, /*walks=*/10, /*stepsPerWalk=*/30);
   }
-}
-
-TEST(SymmetryCanonFuzz, MatchesFullEnumerationFlooding) {
-  auto sys = floodingFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
-  ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
-  ASSERT_EQ(pol->strategy(), ioa::ProcessSymmetry::IdSensitive);
-  util::Rng rng(0xf100d5eedull);
-  checkMatchesReference(*sys, *pol, rng, /*walks=*/10, /*stepsPerWalk=*/30);
 }
 
 TEST(SymmetryCanonFuzz, PermAlgebra) {

@@ -14,8 +14,8 @@
 //
 // --symmetry auto|on|off controls orbit canonicalization (symmetry
 // reduction, see analysis/symmetry.h): candidates whose processes are
-// interchangeable (relay, flooding) are explored up to process
-// permutation, shrinking G(C) by up to n!. `auto` (the default) enables it
+// interchangeable and whose process states name no process (relay) are
+// explored up to process permutation, shrinking G(C) by up to n!. `auto` (the default) enables it
 // exactly when the candidate declares a usable symmetry; `on` additionally
 // reports why reduction stayed off when it could not be applied; `off`
 // forces the exact legacy graph. The verdict is the same either way; state
