@@ -7,13 +7,12 @@
 // so node ids, intern indices, parents and witness paths are a function of
 // the root alone. ExplorationPolicy carries what every exploration shares:
 // the state cap, the metrics sink, the per-expansion hook (the service's
-// cancellation checkpoint) and the frontier-spill settings.
+// cancellation checkpoint).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "analysis/state_graph.h"
@@ -37,19 +36,6 @@ struct ExplorationPolicy {
   // throwing hook aborts the exploration between whole-node expansions;
   // the StateGraph stays consistent (checkConsistent).
   std::function<void(std::size_t)> expansionHook;
-  // Out-of-core exploration (see DESIGN.md "Out-of-core exploration").
-  // Non-zero turns on frontier spill: the BFS frontier runs through an
-  // external-memory queue that preserves FIFO order exactly -- so spill
-  // never changes node ids, intern indices or witnesses. The StateGraph's
-  // own edge-arena cold tier is configured separately via SpillConfig;
-  // drivers normally set both from the same --memory-budget.
-  std::size_t memoryBudgetBytes = 0;
-  // In-memory entries a frontier may hold before segments move to disk.
-  // 0 = auto (65536 under a budget, spill disabled otherwise).
-  std::size_t frontierSpillThreshold = 0;
-  // Directory for the unlinked frontier spill files ("" = $TMPDIR, else
-  // /tmp).
-  std::string spillDir;
   // Ignored: exploration is serial. Exists only for perfbench's parallel
   // probe, which still sets it; goes when a benchmark change drops that
   // probe.
@@ -57,16 +43,10 @@ struct ExplorationPolicy {
 };
 
 struct ExploreStats {
-  struct FrontierSpillStats {
-    std::uint64_t segmentsSpilled = 0;
-    std::uint64_t segmentsReloaded = 0;
-  };
-
   std::size_t statesDiscovered = 0;  // states reached from the root
   std::size_t edgesComputed = 0;     // transitions evaluated
   bool truncated = false;            // maxStates cap was hit
   std::uint64_t frontierPeak = 0;    // BFS queue high-water mark
-  FrontierSpillStats frontierSpill;  // all zero unless spill is enabled
 
   struct WorkerStats {
     std::uint64_t expanded = 0;

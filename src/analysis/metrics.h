@@ -27,7 +27,7 @@ void flushGraphMetrics(obs::Registry* reg, const StateGraph& g);
 // process-lifetime high-water mark -- it is monotone and never reflects
 // memory released between phases. Per-phase costs must be measured as
 // currentRssBytes() deltas around the phase instead (the
-// process.rss_delta_bytes metric; see DESIGN.md "Out-of-core exploration").
+// process.rss_delta_bytes metric).
 std::uint64_t peakRssBytes();
 
 // Process resident set size right now (Linux VmRSS; 0 where unavailable).

@@ -431,13 +431,6 @@ ioa::Action SymmetryPolicy::relabelAction(const ioa::Action& a,
                                           const std::vector<int>& perm) const {
   ioa::Action out = a;
   if (a.endpoint >= 0) out.endpoint = perm[static_cast<std::size_t>(a.endpoint)];
-  if ((a.kind == ioa::ActionKind::Invoke ||
-       a.kind == ioa::ActionKind::Respond) &&
-      a.component >= 0) {
-    const ioa::Automaton& svc =
-        sys_->componentAtSlot(sys_->slotForService(a.component));
-    out.payload = svc.relabeledPayload(a.payload, perm);
-  }
   return out;
 }
 

@@ -19,12 +19,14 @@
 // slot content as the tie-break -- reusing the COW representation's
 // per-slot hash caches, see DESIGN.md "State representation"). A candidate
 // declares the symmetry (System::declareProcessSymmetry) only when its
-// process states never mention process identities, so relabeling moves
-// process slots without rewriting them. The process part of the canonical
-// form is therefore the multiset of local states, sorted by content key,
-// and the minimization only enumerates permutations within blocks of tied
-// process slots, comparing the relabeled service slots. Ties go to the
-// first minimum in that enumeration order (block by block, lexicographic).
+// process states and service values never mention process identities, so
+// relabeling moves process slots without rewriting them and rewrites a
+// service slot only by remapping its endpoint keys. The process part of
+// the canonical form is therefore the multiset of local states, sorted by
+// content key, and the minimization only enumerates permutations within
+// blocks of tied process slots, comparing the relabeled service slots.
+// Ties go to the first minimum in that enumeration order (block by block,
+// lexicographic).
 // Candidates whose process states embed identities (flooding: messages
 // indexed by sender) declare no symmetry and run unreduced.
 //
@@ -44,12 +46,13 @@
 // Soundness hinges on equivariance of the composed transition function:
 //   relabel_pi(apply(s, a)) == apply(relabel_pi(s), relabel_pi(a))
 // which holds because (a) the composition routes actions structurally by
-// endpoint, (b) process states embed no process identity and each
-// service's relabeledState/relabeledPayload maps every embedded identity
-// through pi, and (c) components treat endpoints symmetrically (validated
-// assumptions; exercised by the symmetry fuzz suite). Witnesses found in
-// the quotient graph are lifted back to real executions by accumulating
-// the canonicalization permutations along the path (see adversary.cpp).
+// endpoint, (b) process states and service values (hence action payloads)
+// embed no process identity and each service's relabeledState maps its
+// endpoint keys through pi, and (c) components treat endpoints
+// symmetrically (validated assumptions; exercised by the symmetry fuzz
+// suite). Witnesses found in the quotient graph are lifted back to real
+// executions by accumulating the canonicalization permutations along the
+// path (see adversary.cpp).
 //
 // Thread safety: const-after-construction; canonicalize() may be called
 // concurrently (statistics are relaxed atomics). The policy borrows the
@@ -106,8 +109,8 @@ class SymmetryPolicy {
   ioa::SystemState relabeled(const ioa::SystemState& s,
                              const std::vector<int>& perm) const;
 
-  // `a` relabeled under `perm`: endpoint mapped through perm, Invoke/
-  // Respond payloads rewritten by the owning service's relabeledPayload.
+  // `a` relabeled under `perm`: endpoint mapped through perm; the payload
+  // is id-free and stays as it is.
   ioa::Action relabelAction(const ioa::Action& a,
                             const std::vector<int>& perm) const;
 

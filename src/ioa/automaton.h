@@ -67,13 +67,14 @@ class Automaton {
   // -- Process-permutation support (analysis/symmetry.h) ------------------
   //
   // `s` relabeled under the process permutation `perm` (perm[i] is the new
-  // index of process i): every process identity embedded in the state --
-  // buffer keys, message sender/recipient fields -- is mapped through
-  // `perm`. Only services implement it: a symmetric system's process states
-  // are id-free (ioa::System::declareProcessSymmetry), so the symmetry layer
-  // moves process slots without relabeling them. Returns nullptr when the
-  // service does not support relabeling, in which case the symmetry layer
-  // disables itself for the whole system. Must be equivariant with apply():
+  // index of process i): the per-endpoint buffer keys and failed set are
+  // mapped through `perm`. Only services implement it: a symmetric system's
+  // process states and service values are id-free
+  // (ioa::System::declareProcessSymmetry), so the symmetry layer moves
+  // process slots without relabeling them and action payloads never
+  // change. Returns nullptr when the service does not support relabeling,
+  // in which case the symmetry layer disables itself for the whole system.
+  // Must be equivariant with apply():
   //   relabeledState(apply(s, a), perm) == apply(relabeledState(s, perm),
   //                                              relabel(a, perm)).
   virtual std::unique_ptr<AutomatonState> relabeledState(
@@ -81,15 +82,6 @@ class Automaton {
     (void)s;
     (void)perm;
     return nullptr;
-  }
-
-  // Companion for action payloads: the payload of an Invoke/Respond of this
-  // service under `perm` (identity for services whose payloads carry no
-  // process identities).
-  virtual util::Value relabeledPayload(const util::Value& v,
-                                       const std::vector<int>& perm) const {
-    (void)perm;
-    return v;
   }
 
   // -- Task-structure declaration (analysis/por.h) -------------------------

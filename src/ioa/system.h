@@ -213,9 +213,11 @@ class SlotCanonTable {
 
 // Process symmetry is a declaration by the system builder (the analysis
 // engine trusts it; the symmetry fuzz suite exercises it): every
-// permutation of the full S_n is an automorphism, and process states never
-// embed process identities, so relabeling a process slot is moving its
-// (shared) content to the permuted position (relay). Systems that do not
+// permutation of the full S_n is an automorphism, and neither process
+// states nor service values (buffered invocations/responses, the current
+// value, action payloads) ever name a process, so relabeling a process slot
+// is moving its (shared) content to the permuted position and relabeling a
+// service only remaps its endpoint keys (relay). Systems that do not
 // declare it (asymmetric protocols like bridge/rotating, and protocols
 // whose process states name other processes, like flooding) get the
 // trivial group.
@@ -283,6 +285,8 @@ class System {
   void injectFail(SystemState& s, int endpoint) const;
 
   // -- Symmetry declaration (see the comment above System) ----------------
+  // Declare only when no process state and no service value names a
+  // process: the symmetry layer relabels endpoint keys, never values.
   void declareProcessSymmetry() { processSymmetric_ = true; }
   bool processSymmetric() const { return processSymmetric_; }
 

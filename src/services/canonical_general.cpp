@@ -287,16 +287,11 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
     const ioa::AutomatonState& state, const std::vector<int>& perm) const {
   const ServiceState& s = stateOf(state);
   auto out = std::make_unique<ServiceState>();
-  const auto val = [this, &perm](const Value& v) {
-    return options_.relabelValue ? options_.relabelValue(v, perm) : v;
-  };
-  out->val = val(s.val);
+  out->val = s.val;
   const auto remap = [&](const std::map<int, std::deque<Value>>& m) {
     std::map<int, std::deque<Value>> r;
     for (const auto& [i, q] : m) {
-      std::deque<Value> nq;
-      for (const Value& v : q) nq.push_back(val(v));
-      r.emplace(perm[static_cast<std::size_t>(i)], std::move(nq));
+      r.emplace(perm[static_cast<std::size_t>(i)], q);
     }
     return r;
   };
@@ -304,11 +299,6 @@ std::unique_ptr<ioa::AutomatonState> CanonicalGeneralService::relabeledState(
   out->respBuf = remap(s.respBuf);
   for (int i : s.failed) out->failed.insert(perm[static_cast<std::size_t>(i)]);
   return out;
-}
-
-util::Value CanonicalGeneralService::relabeledPayload(
-    const util::Value& v, const std::vector<int>& perm) const {
-  return options_.relabelValue ? options_.relabelValue(v, perm) : v;
 }
 
 ioa::Automaton::TaskStructure CanonicalGeneralService::taskStructure() const {

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -75,13 +74,6 @@ class CanonicalGeneralService : public ioa::Automaton {
     // (true for the Section-5.1 sequential embedding, set by
     // CanonicalAtomicObject). Must be accurate when set.
     bool respondsToInvokerOnly = false;
-    // Rewrites process identities embedded in buffered values / the current
-    // value under a process permutation (analysis/symmetry.h): called for
-    // every buffered invocation/response and for val. Unset means the
-    // service type's values never mention process identities (consensus,
-    // registers) and relabeling only remaps the buffer keys.
-    std::function<util::Value(const util::Value&, const std::vector<int>&)>
-        relabelValue;
   };
 
   CanonicalGeneralService(types::GeneralServiceType type, int id,
@@ -101,8 +93,6 @@ class CanonicalGeneralService : public ioa::Automaton {
   std::unique_ptr<ioa::AutomatonState> relabeledState(
       const ioa::AutomatonState& s,
       const std::vector<int>& perm) const override;
-  util::Value relabeledPayload(const util::Value& v,
-                               const std::vector<int>& perm) const override;
   ioa::Automaton::TaskStructure taskStructure() const override;
 
   // -- Metadata ------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -182,6 +183,23 @@ TEST(GraphLayout, MemoryStatsTrackGrowth) {
   EXPECT_LE(full.bytesEdges, (1u << 15) * sizeof(CompactEdge) + (1u << 20));
   EXPECT_EQ(full.total(),
             full.bytesStates + full.bytesEdges + full.bytesIndex);
+}
+
+// Checked narrowing of the compact edge encoding: the 16-bit task index
+// and the one-list-per-chunk contract are validated at runtime.
+
+TEST(TaskCapacityValidation, TaskCountMustFitSixteenBits) {
+  EXPECT_THROW(StateGraph::validateTaskCapacity(1u << 16, 1u << 15),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StateGraph::validateTaskCapacity(65535, 1u << 17));
+}
+
+TEST(TaskCapacityValidation, ChunkMustHoldOneFullSuccessorList) {
+  // taskCount == chunkCapacity cannot hold one full list (a run of
+  // allTasks().size() edges must fit a single chunk).
+  EXPECT_THROW(StateGraph::validateTaskCapacity(256, 256),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StateGraph::validateTaskCapacity(255, 256));
 }
 
 }  // namespace
