@@ -151,7 +151,7 @@ void BM_RegionScanTob(benchmark::State& state) {
   regionScan(*sys, state);
 }
 
-// The same headline workload under orbit canonicalization (--symmetry on):
+// The same headline workload under orbit canonicalization (--symmetry auto):
 // states/sec now counts canonical representatives, so the interesting
 // figure is the raw_per_canonical collapse ratio next to the wall time.
 void regionScanSymmetry(const ioa::System& sys, benchmark::State& state) {
@@ -161,7 +161,7 @@ void regionScanSymmetry(const ioa::System& sys, benchmark::State& state) {
   double rawPerCanonical = 0.0;
   for (auto _ : state) {
     auto pol = analysis::SymmetryPolicy::forSystem(
-        sys, analysis::SymmetryMode::On);
+        sys, analysis::SymmetryMode::Auto);
     StateGraph g(sys, pol);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(sys, j));
@@ -185,7 +185,7 @@ void BM_RegionScanRelaySymmetry(benchmark::State& state) {
   regionScanSymmetry(*sys, state);
 }
 
-// The stacked reduction (--symmetry on --por on): ample-set POR over the
+// The stacked reduction (--symmetry auto --por auto): ample-set POR over the
 // orbit quotient. The headline counter is full_per_reduced -- canonical
 // quotient states divided by the states the reduced BFS actually visits,
 // i.e. the multiplicative factor POR adds on top of symmetry.
@@ -197,7 +197,7 @@ void regionScanSymmetryPor(const ioa::System& sys, benchmark::State& state) {
   for (auto _ : state) {
     {
       auto symPol = analysis::SymmetryPolicy::forSystem(
-          sys, analysis::SymmetryMode::On);
+          sys, analysis::SymmetryMode::Auto);
       StateGraph gq(sys, symPol);
       for (int j = 0; j <= n; ++j) {
         NodeId root = gq.intern(analysis::canonicalInitialization(sys, j));
@@ -206,8 +206,8 @@ void regionScanSymmetryPor(const ioa::System& sys, benchmark::State& state) {
       symStates = gq.size();
     }
     auto symPol = analysis::SymmetryPolicy::forSystem(
-        sys, analysis::SymmetryMode::On);
-    auto porPol = analysis::PorPolicy::forSystem(sys, analysis::PorMode::On);
+        sys, analysis::SymmetryMode::Auto);
+    auto porPol = analysis::PorPolicy::forSystem(sys, analysis::PorMode::Auto);
     StateGraph g(sys, symPol, porPol);
     for (int j = 0; j <= n; ++j) {
       NodeId root = g.intern(analysis::canonicalInitialization(sys, j));

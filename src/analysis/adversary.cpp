@@ -130,13 +130,6 @@ ioa::Execution witnessToNode(StateGraph& g, NodeId node) {
   return exec;
 }
 
-ioa::Execution witnessFromRun(StateGraph& g, NodeId startNode,
-                              const sim::RunResult& run) {
-  ioa::Execution exec = witnessToNode(g, startNode);
-  for (const Action& a : run.exec.actions()) exec.append(a);
-  return exec;
-}
-
 // The failure set J of Lemmas 6/7: |J| = f+1, containing (Lemma 6) the
 // similar process j, or arranged around the similar service's endpoints
 // (Lemma 7).
@@ -297,7 +290,8 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
       report.narrative =
           "initialization with " + std::to_string(init.onesPrefix) +
           " ones is Null-valent: no extension decides at all";
-      report.witness = witnessFromRun(g, init.node, rr);
+      report.witness = witnessToNode(g, init.node);
+      for (const Action& a : rr.exec.actions()) report.witness.append(a);
       return;
     }
   }
@@ -318,8 +312,7 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
       // the canonical initializations; under symmetry the graph node only
       // holds the orbit representative, so rebuild alpha_j itself.
       const ioa::SystemState start =
-          g.symmetryActive() ? canonicalInitialization(sys, init->onesPrefix)
-                             : g.state(init->node);
+          canonicalInitialization(sys, init->onesPrefix);
       sim::RunResult rr = runGamma(sys, start, {d}, cfg.gammaMaxSteps, reg);
       if (rr.livelocked() || rr.reason == sim::RunResult::Reason::StepLimit) {
         report.verdict = AdversaryReport::Verdict::TerminationViolation;
@@ -329,16 +322,10 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
             std::to_string(init->onesPrefix) +
             "-ones initialization yields a fair execution in which no "
             "correct process decides";
-        if (g.symmetryActive()) {
-          ioa::Execution exec;
-          for (Action& ia : initActionsOf(sys, start)) {
-            exec.append(std::move(ia));
-          }
-          for (const Action& ra : rr.exec.actions()) exec.append(ra);
-          report.witness = std::move(exec);
-        } else {
-          report.witness = witnessFromRun(g, init->node, rr);
-        }
+        ioa::Execution exec;
+        for (Action& ia : initActionsOf(sys, start)) exec.append(std::move(ia));
+        for (const Action& ra : rr.exec.actions()) exec.append(ra);
+        report.witness = std::move(exec);
         report.witnessFailures = {d};
         return;
       }

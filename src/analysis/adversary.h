@@ -65,14 +65,12 @@ struct AdversaryConfig {
   // Orbit reduction of every explored graph by the candidate's declared
   // process-permutation group (analysis/symmetry.h). Off preserves the
   // legacy engine bit-for-bit; Auto enables reduction exactly when the
-  // candidate declares a symmetry the policy can exploit; On requests it
-  // and surfaces the reason when it cannot be honored.
+  // candidate declares a symmetry the policy can exploit.
   SymmetryMode symmetry = SymmetryMode::Off;
   // Ample-set partial-order reduction of every explored graph, stacked on
   // top of the symmetry quotient (analysis/por.h). Off preserves the
   // legacy engine bit-for-bit; Auto enables reduction exactly when every
-  // component declares a canonical task structure; On requests it and
-  // surfaces the reason when it cannot be honored.
+  // component declares a canonical task structure.
   PorMode por = PorMode::Off;
   // Cross-job warm start (the analysis service): a memo built for the SAME
   // System object shares its slot canon table, transition cache and action
@@ -108,7 +106,7 @@ struct AdversaryReport {
 
   // Symmetry-reduction telemetry (see analysis/symmetry.h). When
   // symmetryReduced is false, symmetryNote carries the reason reduction was
-  // not applied (empty when it was simply not requested).
+  // not applied (under mode Off: that it was disabled).
   bool symmetryReduced = false;
   std::string symmetryNote;
   std::uint64_t symmetryStatesRaw = 0;
@@ -116,7 +114,7 @@ struct AdversaryReport {
 
   // Partial-order-reduction telemetry (see analysis/por.h). When
   // porReduced is false, porNote carries the reason reduction was not
-  // applied (empty when it was simply not requested).
+  // applied (under mode Off: that it was disabled).
   bool porReduced = false;
   std::string porNote;
   std::uint64_t porNodesReduced = 0;    // proper ample sets committed

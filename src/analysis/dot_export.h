@@ -22,8 +22,10 @@ struct DotOptions {
 };
 
 // Render the reachable region of `root` (explored on demand) as a DOT
-// digraph. Valence colours: bivalent = khaki, 0-valent = lightblue,
-// 1-valent = salmon, null = gray.
+// digraph: a breadth-first walk over g.exploreSuccessors() up to
+// maxNodes, plus the highlighted hook's nodes and edges. Valence colours:
+// bivalent = khaki, 0-valent = lightblue, 1-valent = salmon, null = gray;
+// a node the valence analysis never explored is white and unlabelled.
 std::string exportDot(StateGraph& g, ValenceAnalyzer& va, NodeId root,
                       const DotOptions& options = DotOptions{});
 

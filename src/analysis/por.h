@@ -78,11 +78,10 @@
 namespace boosting::analysis {
 
 // CLI-facing selection, mirroring SymmetryMode: Auto enables the reduction
-// whenever every component declares a canonical task structure, On
-// additionally surfaces WHY it stayed off (disabledReason), Off forces
-// full expansion (the legacy behavior and the default for every analysis
-// entry point).
-enum class PorMode { Auto, On, Off };
+// whenever every component declares a canonical task structure
+// (disabledReason says why it stayed off), Off forces full expansion (the
+// legacy behavior and the default for every analysis entry point).
+enum class PorMode { Auto, Off };
 
 class PorPolicy {
  public:

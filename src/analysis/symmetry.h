@@ -71,10 +71,10 @@
 namespace boosting::analysis {
 
 // CLI-facing selection: Auto enables the reduction whenever the candidate
-// declares a usable symmetry, On additionally surfaces WHY it stayed off
-// (disabledReason), Off forces the identity group (the legacy behavior and
-// the default for every analysis entry point).
-enum class SymmetryMode { Auto, On, Off };
+// declares a usable symmetry (disabledReason says why it stayed off), Off
+// forces the identity group (the legacy behavior and the default for every
+// analysis entry point).
+enum class SymmetryMode { Auto, Off };
 
 class SymmetryPolicy {
  public:

@@ -6,33 +6,6 @@
 
 namespace boosting::serve {
 
-namespace {
-
-const char* symmetryModeName(analysis::SymmetryMode m) {
-  switch (m) {
-    case analysis::SymmetryMode::Auto: return "auto";
-    case analysis::SymmetryMode::On: return "on";
-    case analysis::SymmetryMode::Off: return "off";
-  }
-  return "?";
-}
-
-const char* porModeName(analysis::PorMode m) {
-  switch (m) {
-    case analysis::PorMode::Auto: return "auto";
-    case analysis::PorMode::On: return "on";
-    case analysis::PorMode::Off: return "off";
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string ServiceKey::str() const {
-  return candidate + "/n" + std::to_string(n) + "/f" + std::to_string(f) +
-         "/sym-" + symmetryModeName(symmetry) + "/por-" + porModeName(por);
-}
-
 std::size_t ServiceKeyHash::operator()(const ServiceKey& k) const {
   std::size_t h = std::hash<std::string>{}(k.candidate);
   auto mix = [&h](std::size_t v) {

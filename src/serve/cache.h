@@ -49,7 +49,6 @@ struct ServiceKey {
     return candidate == o.candidate && n == o.n && f == o.f &&
            symmetry == o.symmetry && por == o.por;
   }
-  std::string str() const;
 };
 
 struct ServiceKeyHash {

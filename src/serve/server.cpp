@@ -174,10 +174,11 @@ bool parseSubmitRequest(const WireObject& req, JobSpec* spec,
     }
   }
   *spec = JobSpec{};
-  std::int64_t n = spec->n, f = spec->f, claim = spec->claim, priority = 0;
+  AnalysisRequest& r = spec->request;
+  std::int64_t n = r.n, f = r.f, claim = 0, priority = 0;
   std::string symmetry = "auto", por = "auto";
   bool ok = extractStr(req, "id", &spec->id, error) &&
-            extractStr(req, "candidate", &spec->candidate, error) &&
+            extractStr(req, "candidate", &r.candidate, error) &&
             extractInt(req, "n", &n, error) &&
             extractInt(req, "f", &f, error) &&
             extractInt(req, "claim", &claim, error) &&
@@ -186,26 +187,15 @@ bool parseSubmitRequest(const WireObject& req, JobSpec* spec,
             extractStr(req, "por", &por, error) &&
             extractBool(req, "witness", &spec->wantWitness, error) &&
             extractBool(req, "progress", &spec->progress, error);
-  auto parseMode = [&](const std::string& v, const char* key, auto* out,
-                       auto autoV, auto onV, auto offV) {
-    if (v == "auto") { *out = autoV; return true; }
-    if (v == "on") { *out = onV; return true; }
-    if (v == "off") { *out = offV; return true; }
-    *error = std::string(key) + ": expected auto|on|off, got '" + v + "'";
-    return false;
-  };
-  ok = ok &&
-       parseMode(symmetry, "symmetry", &spec->symmetry,
-                 analysis::SymmetryMode::Auto, analysis::SymmetryMode::On,
-                 analysis::SymmetryMode::Off) &&
-       parseMode(por, "por", &spec->por, analysis::PorMode::Auto,
-                 analysis::PorMode::On, analysis::PorMode::Off);
   if (!ok) return false;
-  spec->n = static_cast<int>(n);
-  spec->f = static_cast<int>(f);
-  spec->claim = static_cast<int>(claim);
+  r.n = static_cast<int>(n);
+  r.f = static_cast<int>(f);
+  if (req.count("claim")) r.claim = static_cast<int>(claim);
   spec->priority = static_cast<int>(priority);
-  return true;
+  auto modeError = parseMode("symmetry", symmetry, &r.symmetry);
+  if (!modeError) modeError = parseMode("por", por, &r.por);
+  if (modeError) *error = *modeError;
+  return !modeError;
 }
 
 namespace {

@@ -7,7 +7,9 @@
 // Protocol (one request object per line; every reply is one event object
 // per line, discriminated by "ev"):
 //
-//   {"op":"submit","id":"j1","candidate":"relay","n":3,"f":1, ...}
+//   {"op":"submit","id":"j1","candidate":"relay","n":3,"f":1
+//    [,"claim":C][,"symmetry":"auto|off"][,"por":"auto|off"]
+//    [,"priority":P][,"witness":bool][,"progress":bool]}
 //       -> {"ev":"ack","id":"j1"}            accepted
 //       -> {"ev":"error","id":"j1","error":...}  rejected
 //       ... later, on the submitting connection:
@@ -78,8 +80,9 @@ struct ServerConfig {
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 // Map a submit request onto a JobSpec. False with a diagnostic in *error
-// when the request has a key outside the submit grammar or a mistyped
-// value; range checks are AnalysisService::submit's.
+// when the request has a key outside the submit grammar, a mistyped value
+// or a mode other than auto|off; the domain checks (checkRequest) are
+// AnalysisService::submit's.
 bool parseSubmitRequest(const WireObject& req, JobSpec* spec,
                         std::string* error);
 

@@ -7,7 +7,6 @@
 
 #include "analysis/adversary.h"
 #include "obs/trace.h"
-#include "serve/candidates.h"
 #include "sim/trace_io.h"
 
 namespace boosting::serve {
@@ -18,12 +17,6 @@ namespace {
 // Coarse enough to be free next to an expansion, fine enough that even an
 // n=3 job reports a few times.
 constexpr std::uint64_t kProgressStride = 2048;
-
-std::string fmt(const char* f, auto... args) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf, f, args...);
-  return buf;
-}
 
 }  // namespace
 
@@ -53,39 +46,14 @@ AnalysisService::~AnalysisService() {
 std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
                                                    OnResult onResult,
                                                    OnProgress onProgress) {
-  // Validation mirrors the boosting_analyze flag checks, field for field,
-  // so a spec the CLI would reject is rejected here with the same shape of
-  // diagnostic (field name first).
   if (spec.id.empty()) return "id: required";
   if (byClientId_.count(spec.id)) {
     return "id: '" + spec.id + "' is already a live job";
   }
-  if (!isKnownCandidate(spec.candidate)) {
-    return "candidate: unknown candidate '" + spec.candidate + "'";
-  }
-  if (spec.n < 2 || spec.n > 20) {
-    return fmt("n: value %d out of range [2, 20]", spec.n);
-  }
-  if (spec.f < 0 || spec.f > 19) {
-    return fmt("f: value %d out of range [0, 19]", spec.f);
-  }
-  if (spec.claim >= 0 && (spec.claim < 1 || spec.claim > 19)) {
-    return fmt("claim: value %d out of range [1, 19]", spec.claim);
-  }
-  if (spec.f >= spec.n) {
-    return fmt("f: service resilience %d must be smaller than n %d", spec.f,
-               spec.n);
-  }
-  const int claim = spec.claim < 0 ? spec.f + 1 : spec.claim;
-  if (claim >= spec.n) {
-    return fmt("claim: claimed failures %d must be smaller than n %d (the "
-               "theorems assume f+1 <= n-1)",
-               claim, spec.n);
-  }
+  if (auto error = checkRequest(spec.request)) return error;
 
   auto rec = std::make_unique<JobRecord>();
   rec->spec = spec;
-  rec->spec.claim = claim;
   rec->onResult = std::move(onResult);
   rec->onProgress = std::move(onProgress);
   JobRecord* raw = rec.get();
@@ -102,9 +70,10 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
   if (cfg_.metrics) {
     cfg_.metrics->add("serve.jobs.submitted");
     if (auto* tw = cfg_.metrics->trace()) {
+      const AnalysisRequest& req = spec.request;
       tw->event("serve.job.submit",
-                {{"id", spec.id}, {"candidate", spec.candidate},
-                 {"n", spec.n}, {"f", spec.f}, {"claim", claim},
+                {{"id", spec.id}, {"candidate", req.candidate},
+                 {"n", req.n}, {"f", req.f}, {"claim", req.claimedFailures()},
                  {"priority", spec.priority}});
     }
   }
@@ -113,6 +82,7 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
 
 void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   const JobSpec& spec = rec.spec;
+  const AnalysisRequest& req = spec.request;
   obs::TraceWriter* tw = cfg_.metrics ? cfg_.metrics->trace() : nullptr;
   const auto start = std::chrono::steady_clock::now();
   // Record the wall time even when the body unwinds (cancel / failure).
@@ -130,8 +100,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
 
   // Source the exploration substructure: an exclusive lease on the cached
   // context when available, a private cold build otherwise.
-  const ServiceKey key{spec.candidate, spec.n, spec.f, spec.symmetry,
-                       spec.por};
+  const ServiceKey key{req.candidate, req.n, req.f, req.symmetry, req.por};
   std::string buildError;
   std::optional<ServiceContextPool::Lease> lease =
       pool_.acquire(key, &buildError);
@@ -144,20 +113,15 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
     memo = lease->memo();
     rec.result.cache = lease->warm() ? CacheOutcome::Warm : CacheOutcome::Cold;
   } else {
-    privateSys =
-        buildCandidateSystem(spec.candidate, spec.n, spec.f, &buildError);
+    privateSys = buildCandidateSystem(req.candidate, req.n, req.f, &buildError);
     if (!privateSys) throw std::runtime_error(buildError);
     sys = privateSys.get();
     rec.result.cache = cfg_.cacheContexts == 0 ? CacheOutcome::Cold
                                                : CacheOutcome::Bypass;
   }
 
-  analysis::AdversaryConfig acfg;
-  acfg.claimedFailures = spec.claim;
-  acfg.exemptFailureAware = true;
+  analysis::AdversaryConfig acfg = adversaryConfig(req);
   acfg.exploration.metrics = cfg_.metrics;
-  acfg.symmetry = spec.symmetry;
-  acfg.por = spec.por;
   acfg.memo = memo;
   // Cooperative seam: cancellation/pause ride the engines' per-expansion
   // hook; progress is rate-limited and handed to the driving thread via
@@ -191,9 +155,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   if (spec.wantWitness && !report.witness.empty()) {
     rec.result.witness = sim::renderExecution(report.witness);
   }
-  rec.result.exitCode =
-      report.verdict == analysis::AdversaryReport::Verdict::Inconclusive ? 1
-                                                                         : 0;
+  rec.result.exitCode = exitCodeFor(report);
 }
 
 void AnalysisService::finishJob(std::uint64_t schedId, JobState final,
@@ -284,8 +246,8 @@ std::vector<AnalysisService::JobStatus> AnalysisService::liveJobs() const {
     if (snap.state != JobState::Queued && snap.state != JobState::Running) {
       continue;  // reaped at the next tick
     }
-    out.push_back(JobStatus{rec->spec.id, rec->spec.candidate, snap.state,
-                            snap.paused, rec->spec.priority});
+    out.push_back(JobStatus{rec->spec.id, rec->spec.request.candidate,
+                            snap.state, snap.paused, rec->spec.priority});
   }
   return out;
 }

@@ -1,11 +1,12 @@
 // AnalysisService: the transport-independent core of boosting_served.
 //
 // It owns the TickScheduler and the ServiceContextPool and turns a JobSpec
-// (one candidate analysis, the same knobs as the boosting_analyze CLI)
+// (one AnalysisRequest, the same request the boosting_analyze CLI builds)
 // into a JobResult whose verdict text is BYTE-IDENTICAL to what the CLI
-// prints for the same spec -- the service runs the identical
-// analyzeConsensusCandidate pipeline over the identical candidate factory
-// (serve/candidates.h); only the wrapping differs.
+// prints for the same request -- the service runs the identical
+// analyzeConsensusCandidate pipeline over the identical candidate factory,
+// checks and configuration (serve/candidates.h); only the wrapping
+// differs.
 //
 // Threading model: all public methods plus every client callback run on
 // ONE driving thread (the server loop calls tick() between poll()s). Job
@@ -36,20 +37,15 @@
 #include "analysis/explore.h"
 #include "obs/registry.h"
 #include "serve/cache.h"
+#include "serve/candidates.h"
 #include "serve/scheduler.h"
 
 namespace boosting::serve {
 
-// One analysis request. Field semantics and valid ranges mirror the
-// boosting_analyze flags one-to-one (see submit() for the checks).
+// One submitted job: the analysis request plus the serve-only fields.
 struct JobSpec {
   std::string id;  // client-chosen; unique among LIVE jobs
-  std::string candidate = "relay";
-  int n = 2;
-  int f = 0;
-  int claim = -1;  // default: f + 1
-  analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
-  analysis::PorMode por = analysis::PorMode::Auto;
+  AnalysisRequest request;
   int priority = 0;         // higher dispatches first
   bool wantWitness = false; // include the rendered witness execution
   bool progress = false;    // stream serve.job.progress events
@@ -74,7 +70,7 @@ struct JobResult {
   std::size_t states = 0;       // statesExplored
   std::size_t witnessActions = 0;
   std::string witness;          // rendered execution (when wantWitness)
-  int exitCode = 0;             // CLI convention: 1 iff Inconclusive
+  int exitCode = 0;             // exitCodeFor(report)
 
   CacheOutcome cache = CacheOutcome::Cold;
   double wallMs = 0.0;
@@ -95,9 +91,9 @@ class AnalysisService {
   explicit AnalysisService(Config cfg);
   ~AnalysisService();
 
-  // Validate and enqueue. Returns an error message (mirroring the CLI's
-  // flag diagnostics) on rejection, nullopt on acceptance. onResult fires
-  // exactly once, from tick(), on the driving thread.
+  // Validate (checkRequest, plus the id) and enqueue. Returns a
+  // field-first error message on rejection, nullopt on acceptance.
+  // onResult fires exactly once, from tick(), on the driving thread.
   std::optional<std::string> submit(const JobSpec& spec, OnResult onResult,
                                     OnProgress onProgress = nullptr);
 

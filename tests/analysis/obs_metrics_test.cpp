@@ -93,7 +93,7 @@ TEST(ObsMetrics, SymmetryCostCountersReported) {
   obs::Registry reg;
   AdversaryConfig cfg;
   cfg.claimedFailures = 2;
-  cfg.symmetry = SymmetryMode::On;
+  cfg.symmetry = SymmetryMode::Auto;
   cfg.exploration.metrics = &reg;
   const AdversaryReport report = analyzeConsensusCandidate(*sys, cfg);
   ASSERT_TRUE(report.symmetryReduced) << report.symmetryNote;

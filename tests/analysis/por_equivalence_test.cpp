@@ -111,9 +111,9 @@ void expectWitnessIsConcrete(const ioa::System& sys,
 void runMatrix(const ioa::System& sys, int claim,
                bool expectPor, bool expectSym) {
   const auto full = runWith(sys, claim, SymmetryMode::Off, PorMode::Off);
-  const auto symOnly = runWith(sys, claim, SymmetryMode::On, PorMode::Off);
-  const auto porOnly = runWith(sys, claim, SymmetryMode::Off, PorMode::On);
-  const auto stacked = runWith(sys, claim, SymmetryMode::On, PorMode::On);
+  const auto symOnly = runWith(sys, claim, SymmetryMode::Auto, PorMode::Off);
+  const auto porOnly = runWith(sys, claim, SymmetryMode::Off, PorMode::Auto);
+  const auto stacked = runWith(sys, claim, SymmetryMode::Auto, PorMode::Auto);
 
   EXPECT_FALSE(full.porReduced);
   EXPECT_EQ(porOnly.porReduced, expectPor) << porOnly.porNote;
@@ -184,8 +184,8 @@ TEST(PorEquivalence, TOBN3DeclinesWithoutTaskStructure) {
   spec.policy = services::DummyPolicy::PreferDummy;
   auto sys = processes::buildTOBConsensusSystem(spec);
   const auto off = runWith(*sys, 1, SymmetryMode::Off, PorMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::Off, PorMode::On);
-  // No declared task structure: On must fall back to full expansion, say
+  const auto on = runWith(*sys, 1, SymmetryMode::Off, PorMode::Auto);
+  // No declared task structure: Auto must fall back to full expansion, say
   // why, and reproduce the legacy run bit-for-bit.
   EXPECT_FALSE(on.porReduced);
   EXPECT_FALSE(on.porNote.empty());
@@ -201,7 +201,7 @@ TEST(PorEquivalence, SingleFDN3Theorem10ModeDeclines) {
   auto sys = processes::buildSingleFDRotatingConsensusSystem(spec);
   const auto off = runWith(*sys, 1, SymmetryMode::Off, PorMode::Off,
                            /*exemptFailureAware=*/true);
-  const auto on = runWith(*sys, 1, SymmetryMode::Off, PorMode::On,
+  const auto on = runWith(*sys, 1, SymmetryMode::Off, PorMode::Auto,
                           /*exemptFailureAware=*/true);
   EXPECT_FALSE(on.porReduced);
   expectSameProofShape(off, on, "por-on (declined) vs full");

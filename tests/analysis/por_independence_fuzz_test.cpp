@@ -140,7 +140,7 @@ TEST(PorIndependenceFuzz, SampledReachableStatesCommute) {
                                              "flooding3"};
   for (const std::string& name : fixtures) {
     auto sys = makeFixture(name);
-    const auto por = PorPolicy::forSystem(*sys, PorMode::On);
+    const auto por = PorPolicy::forSystem(*sys, PorMode::Auto);
     ASSERT_FALSE(por->trivial())
         << name << ": " << por->disabledReason();
     const std::vector<ioa::SystemState> states =
@@ -166,7 +166,7 @@ TEST(PorIndependenceFuzz, AmpleDecisionIsAPureFunctionOfTheState) {
   // The memoized decision must be stable across repeated queries:
   // exploration determinism relies on it.
   auto sys = makeFixture("relay3");
-  const auto por = PorPolicy::forSystem(*sys, PorMode::On);
+  const auto por = PorPolicy::forSystem(*sys, PorMode::Auto);
   ASSERT_FALSE(por->trivial());
   const std::vector<ioa::SystemState> states = reachableSample(*sys, 400);
   const std::vector<ioa::TaskId>& tasks = sys->allTasks();

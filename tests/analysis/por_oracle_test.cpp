@@ -77,7 +77,7 @@ TEST(PorOracle, ReducedRelayGraphMatchesBruteForce) {
   }
 
   // Reduced run: same roots, ample-set successor relation.
-  const auto por = PorPolicy::forSystem(*sys, PorMode::On);
+  const auto por = PorPolicy::forSystem(*sys, PorMode::Auto);
   ASSERT_FALSE(por->trivial()) << por->disabledReason();
   StateGraph red(*sys, nullptr, por);
   ASSERT_TRUE(red.porActive());
@@ -138,7 +138,7 @@ TEST(PorOracle, ProvisoNeverStrandsAnOpenCycle) {
   // proviso's post-hoc justification: no ample set can point exclusively
   // back into the closed region).
   auto sys = relay3();
-  const auto por = PorPolicy::forSystem(*sys, PorMode::On);
+  const auto por = PorPolicy::forSystem(*sys, PorMode::Auto);
   StateGraph red(*sys, nullptr, por);
   ValenceAnalyzer redVa(red);
   const std::vector<NodeId> redNodes = exploreAll(

@@ -145,7 +145,7 @@ void checkEquivariance(const ioa::System& sys, const SymmetryPolicy& pol,
 
 TEST(SymmetryCanonFuzz, RelayN3IdFree) {
   auto sys = relayFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
+  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::Auto);
   ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
   util::Rng rng(0x5e1f5e1f5e1f5e1full);
   checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/4);
@@ -153,7 +153,7 @@ TEST(SymmetryCanonFuzz, RelayN3IdFree) {
 
 TEST(SymmetryCanonFuzz, RelayN4IdFree) {
   auto sys = relayFixture(4);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
+  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::Auto);
   ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
   util::Rng rng(0xfeedc0defeedc0deull);
   checkCanonProperties(*sys, *pol, rng, /*permsPerState=*/3);
@@ -161,7 +161,7 @@ TEST(SymmetryCanonFuzz, RelayN4IdFree) {
 
 TEST(SymmetryCanonFuzz, RelayEquivariance) {
   auto sys = relayFixture(3);
-  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
+  auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::Auto);
   ASSERT_FALSE(pol->trivial());
   util::Rng rng(0xabcdef0123456789ull);
   checkEquivariance(*sys, *pol, rng);
@@ -308,7 +308,7 @@ TEST(SymmetryCanonFuzz, MatchesFullEnumerationRelay) {
   for (int n : {3, 4, 5}) {
     SCOPED_TRACE("relay n=" + std::to_string(n));
     auto sys = relayFixture(n);
-    auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::On);
+    auto pol = SymmetryPolicy::forSystem(*sys, SymmetryMode::Auto);
     ASSERT_FALSE(pol->trivial()) << pol->disabledReason();
     util::Rng rng(seeds[n - 3]);
     checkMatchesReference(*sys, *pol, rng, /*walks=*/10, /*stepsPerWalk=*/30);

@@ -90,7 +90,7 @@ void expectWitnessIsConcrete(const ioa::System& sys,
 TEST(SymmetryEquivalence, RelayN3FZero) {
   auto sys = relayFixture(3, 0);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::On);
+  const auto on = runWith(*sys, 1, SymmetryMode::Auto);
   expectSameProofShape(off, on);
   EXPECT_FALSE(off.symmetryReduced);
   EXPECT_TRUE(on.symmetryReduced) << on.symmetryNote;
@@ -103,7 +103,7 @@ TEST(SymmetryEquivalence, RelayN3FOne) {
   // The genuinely-boosting claim (f = 1 -> 2): the heart of Theorem 2.
   auto sys = relayFixture(3, 1);
   const auto off = runWith(*sys, 2, SymmetryMode::Off);
-  const auto on = runWith(*sys, 2, SymmetryMode::On);
+  const auto on = runWith(*sys, 2, SymmetryMode::Auto);
   expectSameProofShape(off, on);
   EXPECT_TRUE(on.symmetryReduced) << on.symmetryNote;
   EXPECT_LT(on.statesExplored, off.statesExplored);
@@ -117,8 +117,8 @@ TEST(SymmetryEquivalence, TOBN3DeclinesWithoutDeclaredSymmetry) {
   spec.policy = services::DummyPolicy::PreferDummy;
   auto sys = processes::buildTOBConsensusSystem(spec);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::On);
-  // No declared symmetry: On must fall back to the identity group, say
+  const auto on = runWith(*sys, 1, SymmetryMode::Auto);
+  // No declared symmetry: Auto must fall back to the identity group, say
   // why, and reproduce the legacy run bit-for-bit.
   EXPECT_FALSE(on.symmetryReduced);
   EXPECT_FALSE(on.symmetryNote.empty());
@@ -132,7 +132,7 @@ TEST(SymmetryEquivalence, BridgeN3AsymmetricTopologyDeclines) {
   spec.policy = services::DummyPolicy::PreferDummy;
   auto sys = processes::buildBridgeConsensusSystem(spec);
   const auto off = runWith(*sys, 1, SymmetryMode::Off);
-  const auto on = runWith(*sys, 1, SymmetryMode::On);
+  const auto on = runWith(*sys, 1, SymmetryMode::Auto);
   EXPECT_FALSE(on.symmetryReduced);
   EXPECT_FALSE(on.symmetryNote.empty());
   expectSameProofShape(off, on);
@@ -148,13 +148,13 @@ TEST(SymmetryEquivalence, SingleFDN3Theorem10Mode) {
   const auto off =
       runWith(*sys, 1, SymmetryMode::Off, /*exemptFailureAware=*/true);
   const auto on =
-      runWith(*sys, 1, SymmetryMode::On, /*exemptFailureAware=*/true);
+      runWith(*sys, 1, SymmetryMode::Auto, /*exemptFailureAware=*/true);
   expectSameProofShape(off, on);
 }
 
 TEST(SymmetryEquivalence, RelayWitnessLiftsToConcreteExecution) {
   auto sys = relayFixture(3, 1);
-  const auto on = runWith(*sys, 2, SymmetryMode::On);
+  const auto on = runWith(*sys, 2, SymmetryMode::Auto);
   ASSERT_TRUE(on.symmetryReduced) << on.symmetryNote;
   expectWitnessIsConcrete(*sys, on);
 }

@@ -49,18 +49,6 @@ std::vector<serve::WireObject> loadTable() {
   return rows;
 }
 
-analysis::SymmetryMode symmetryMode(const std::string& s) {
-  if (s == "auto") return analysis::SymmetryMode::Auto;
-  if (s == "on") return analysis::SymmetryMode::On;
-  return analysis::SymmetryMode::Off;
-}
-
-analysis::PorMode porMode(const std::string& s) {
-  if (s == "auto") return analysis::PorMode::Auto;
-  if (s == "on") return analysis::PorMode::On;
-  return analysis::PorMode::Off;
-}
-
 std::string verdictWord(AdversaryReport::Verdict v) {
   switch (v) {
     case AdversaryReport::Verdict::SafetyViolation: return "SAFETY VIOLATION";
@@ -161,15 +149,25 @@ TEST(GoldenVerdicts, EveryRowReproducesAndItsWitnessReplays) {
                               serve::getStr(row, "por");
     SCOPED_TRACE(label);
 
+    // The row is a request as the CLI would take it: checked, then mapped
+    // onto the adversary configuration by the shared code.
+    serve::AnalysisRequest req;
+    req.candidate = candidate;
+    req.n = n;
+    req.f = f;
+    req.claim = static_cast<int>(serve::getInt(row, "claim"));
+    auto rejected = serve::parseMode(
+        "symmetry", serve::getStr(row, "symmetry"), &req.symmetry);
+    if (!rejected) {
+      rejected = serve::parseMode("por", serve::getStr(row, "por"), &req.por);
+    }
+    if (!rejected) rejected = serve::checkRequest(req);
+    ASSERT_FALSE(rejected) << *rejected;
     std::string error;
     const auto sys = serve::buildCandidateSystem(candidate, n, f, &error);
     ASSERT_TRUE(sys) << error;
-    analysis::AdversaryConfig cfg;
-    cfg.claimedFailures = static_cast<int>(serve::getInt(row, "claim"));
-    cfg.exemptFailureAware = true;
-    cfg.symmetry = symmetryMode(serve::getStr(row, "symmetry"));
-    cfg.por = porMode(serve::getStr(row, "por"));
-    const AdversaryReport report = analysis::analyzeConsensusCandidate(*sys, cfg);
+    const AdversaryReport report =
+        analysis::analyzeConsensusCandidate(*sys, serve::adversaryConfig(req));
 
     std::string inits;
     for (const auto& init : report.initializations) {

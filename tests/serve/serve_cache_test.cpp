@@ -177,10 +177,10 @@ TEST(ServeCache, KeySeparatesReductionModes) {
   std::string err;
   const ServiceKey off{"relay", 3, 1, analysis::SymmetryMode::Off,
                        analysis::PorMode::Off};
-  const ServiceKey on{"relay", 3, 1, analysis::SymmetryMode::On,
-                      analysis::PorMode::On};
+  const ServiceKey reduced{"relay", 3, 1, analysis::SymmetryMode::Auto,
+                      analysis::PorMode::Auto};
   pool.acquire(off, &err).reset();
-  pool.acquire(on, &err).reset();
+  pool.acquire(reduced, &err).reset();
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.stats().builds, 2u);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/registry.h"
+#include "serve/server.h"
 
 namespace boosting::serve {
 namespace {
@@ -16,9 +17,9 @@ namespace {
 JobSpec relaySpec(const std::string& id) {
   JobSpec spec;
   spec.id = id;
-  spec.candidate = "relay";
-  spec.n = 3;
-  spec.f = 1;
+  spec.request.candidate = "relay";
+  spec.request.n = 3;
+  spec.request.f = 1;
   return spec;
 }
 
@@ -35,26 +36,31 @@ TEST(ServeService, RejectsInvalidSpecsWithCliStyleDiagnostics) {
   EXPECT_NE(rejectionFor(svc, spec).find("id"), std::string::npos);
 
   spec = relaySpec("j");
-  spec.candidate = "banana";
+  spec.request.candidate = "banana";
   EXPECT_NE(rejectionFor(svc, spec).find("unknown candidate"),
             std::string::npos);
 
   // Diagnostics lead with the wire field name, mirroring the CLI's
   // flag-first shape.
   spec = relaySpec("j");
-  spec.n = 1;
+  spec.request.n = 1;
   EXPECT_NE(rejectionFor(svc, spec).find("n: value 1 out of range"),
             std::string::npos);
 
   spec = relaySpec("j");
-  spec.f = 3;  // f must be < n
+  spec.request.f = 3;  // f must be < n
   EXPECT_NE(rejectionFor(svc, spec).find("f: service resilience"),
             std::string::npos);
 
   spec = relaySpec("j");
-  spec.claim = 3;  // claim must be < n
+  spec.request.claim = 3;  // claim must be < n
   EXPECT_NE(rejectionFor(svc, spec).find("claim: claimed failures"),
             std::string::npos);
+
+  // A negative claim is an explicit claim, not a request for the default.
+  spec = relaySpec("j");
+  spec.request.claim = -5;
+  EXPECT_EQ(rejectionFor(svc, spec), "claim: value -5 out of range [1, 19]");
 
   // Duplicate LIVE id: the first submission is still queued (no tick yet).
   spec = relaySpec("dup");
@@ -62,6 +68,32 @@ TEST(ServeService, RejectsInvalidSpecsWithCliStyleDiagnostics) {
   EXPECT_NE(rejectionFor(svc, spec).find("dup"), std::string::npos);
   svc.cancelAll();
   svc.drain();
+}
+
+TEST(ServeService, WireSubmitsGetTheSharedDomainChecks) {
+  // A submit line goes through the wire parser and then submit(); whichever
+  // stage rejects it, the diagnostic names the field.
+  AnalysisService svc(AnalysisService::Config{});
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("claim":-5)", "claim: value -5 out of range [1, 19]"},
+      {R"("claim":0)", "claim: value 0 out of range [1, 19]"},
+      {R"("claim":3)", "claim: claimed failures 3 must be smaller than n 3 "
+                       "(the theorems assume f+1 <= n-1)"},
+      {R"("n":21)", "n: value 21 out of range [2, 20]"},
+      {R"("symmetry":"on")", "symmetry: expected auto|off, got 'on'"},
+      {R"("por":"on")", "por: expected auto|off, got 'on'"},
+  };
+  for (const auto& [extra, want] : cases) {
+    const std::string line =
+        std::string(R"({"op":"submit","id":"j","n":3,"f":1,)") + extra + "}";
+    WireObject req;
+    std::string err;
+    ASSERT_TRUE(parseWireObject(line, &req, &err)) << line << ": " << err;
+    JobSpec spec;
+    if (parseSubmitRequest(req, &spec, &err)) err = rejectionFor(svc, spec);
+    EXPECT_EQ(err, want) << line;
+  }
+  EXPECT_TRUE(svc.liveJobs().empty());
 }
 
 TEST(ServeService, WarmJobMatchesColdJobByteForByte) {

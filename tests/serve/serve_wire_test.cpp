@@ -101,18 +101,24 @@ TEST(ServeWire, SubmitRejectsUnknownKeysByName) {
   }
   const auto ok = parse(
       R"({"op":"submit","id":"a","candidate":"relay","n":3,"f":1,)"
-      R"("claim":2,"priority":5,"symmetry":"off","por":"on",)"
+      R"("claim":2,"priority":5,"symmetry":"off","por":"off",)"
       R"("witness":true,"progress":false})");
   JobSpec spec;
   std::string err;
   ASSERT_TRUE(parseSubmitRequest(ok, &spec, &err)) << err;
   EXPECT_EQ(spec.id, "a");
-  EXPECT_EQ(spec.n, 3);
-  EXPECT_EQ(spec.claim, 2);
+  EXPECT_EQ(spec.request.n, 3);
+  EXPECT_EQ(spec.request.claim, 2);
   EXPECT_EQ(spec.priority, 5);
-  EXPECT_EQ(spec.symmetry, analysis::SymmetryMode::Off);
-  EXPECT_EQ(spec.por, analysis::PorMode::On);
+  EXPECT_EQ(spec.request.symmetry, analysis::SymmetryMode::Off);
+  EXPECT_EQ(spec.request.por, analysis::PorMode::Off);
   EXPECT_TRUE(spec.wantWitness);
+  // An absent claim stays unset: the shared default f+1 applies later.
+  ASSERT_TRUE(parseSubmitRequest(parse(R"({"op":"submit","f":1})"), &spec,
+                                 &err))
+      << err;
+  EXPECT_FALSE(spec.request.claim.has_value());
+  EXPECT_EQ(spec.request.claimedFailures(), 2);
 }
 
 TEST(ServeWire, SubmitRejectsMistypedValues) {
@@ -123,7 +129,14 @@ TEST(ServeWire, SubmitRejectsMistypedValues) {
   EXPECT_EQ(err, "n: expected an integer");
   EXPECT_FALSE(parseSubmitRequest(parse(R"({"op":"submit","por":"banana"})"),
                                   &spec, &err));
-  EXPECT_EQ(err, "por: expected auto|on|off, got 'banana'");
+  EXPECT_EQ(err, "por: expected auto|off, got 'banana'");
+  // "on" is not a mode spelling.
+  EXPECT_FALSE(parseSubmitRequest(
+      parse(R"({"op":"submit","symmetry":"on"})"), &spec, &err));
+  EXPECT_EQ(err, "symmetry: expected auto|off, got 'on'");
+  EXPECT_FALSE(parseSubmitRequest(parse(R"({"op":"submit","por":"on"})"),
+                                  &spec, &err));
+  EXPECT_EQ(err, "por: expected auto|off, got 'on'");
 }
 
 }  // namespace

@@ -12,24 +12,27 @@
 //                    [--dot graph.dot] [--metrics-json FILE]
 //                    [--trace FILE] [--progress] [--replay FILE]
 //
-// --symmetry auto|on|off controls orbit canonicalization (symmetry
+// --symmetry auto|off controls orbit canonicalization (symmetry
 // reduction, see analysis/symmetry.h): candidates whose processes are
 // interchangeable and whose process states name no process (relay) are
-// explored up to process permutation, shrinking G(C) by up to n!. `auto` (the default) enables it
-// exactly when the candidate declares a usable symmetry; `on` additionally
-// reports why reduction stayed off when it could not be applied; `off`
-// forces the exact legacy graph. The verdict is the same either way; state
+// explored up to process permutation, shrinking G(C) by up to n!. `auto`
+// (the default) enables it exactly when the candidate declares a usable
+// symmetry and otherwise reports why reduction stayed off; `off` forces
+// the exact legacy graph. The verdict is the same either way; state
 // counts and witness process names may differ (quotient witnesses are
 // lifted back to concrete executions).
 //
-// --por auto|on|off controls ample-set partial-order reduction (see
+// --por auto|off controls ample-set partial-order reduction (see
 // analysis/por.h), stacked on top of the symmetry quotient: at each
 // expanded configuration only an ample subset of the enabled tasks is
 // followed, collapsing commuting diamonds of independent steps. `auto`
 // (the default) enables it exactly when every component declares a
-// canonical task structure; `on` additionally reports why reduction stayed
+// canonical task structure and otherwise reports why reduction stayed
 // off; `off` forces full expansion. Verdicts and witness replayability are
 // unchanged; state counts shrink further.
+//
+// Numeric and mode flags are checked by the same rules the resident
+// service applies to its requests (serve/candidates.h).
 //
 // Observability:
 //   --metrics-json FILE   write phase timings, counters and derived rates
@@ -56,6 +59,7 @@
 #include <string>
 
 #include "analysis/adversary.h"
+#include "analysis/bivalence.h"
 #include "analysis/dot_export.h"
 #include "analysis/metrics.h"
 #include "obs/progress.h"
@@ -69,12 +73,7 @@ using namespace boosting;
 namespace {
 
 struct Options {
-  std::string candidate = "relay";
-  int n = 2;
-  int f = 0;
-  int claim = -1;  // default: f + 1
-  analysis::SymmetryMode symmetry = analysis::SymmetryMode::Auto;
-  analysis::PorMode por = analysis::PorMode::Auto;
+  serve::AnalysisRequest request;
   bool brute = false;
   bool progress = false;
   std::string witnessPath;
@@ -88,44 +87,36 @@ struct Options {
   std::fprintf(stderr,
                "usage: %s --candidate relay|bridge|tob|flooding|single-fd "
                "--n N --f F [--claim C] "
-               "[--symmetry auto|on|off] [--por auto|on|off] [--brute] "
+               "[--symmetry auto|off] [--por auto|off] [--brute] "
                "[--witness FILE] [--dot FILE] [--metrics-json FILE] "
                "[--trace FILE] [--progress] [--replay FILE]\n",
                argv0);
   std::exit(2);
 }
 
-// Strict integer option parsing: the full token must be a decimal integer
-// within [lo, hi]. Anything else -- "banana", "2x", empty, out of range --
-// names the offending flag and value on stderr and exits non-zero, instead
-// of the old atoi behaviour of silently reading 0.
-long parseIntOrDie(const char* flag, const char* text, long lo, long hi) {
-  long value = 0;
+// A rejected request names the flag first and exits 2.
+void dieOn(const std::optional<std::string>& error) {
+  if (!error) return;
+  std::fprintf(stderr, "--%s\n", error->c_str());
+  std::exit(2);
+}
+
+// Strict integer option parsing: the full token must be a decimal integer.
+// Anything else -- "banana", "2x", empty -- names the offending flag and
+// value on stderr and exits non-zero, instead of the old atoi behaviour of
+// silently reading 0. Ranges are serve::checkRequest's.
+int parseIntOrDie(const char* flag, const char* text) {
+  int value = 0;
   const char* end = text + std::strlen(text);
   auto [ptr, ec] = std::from_chars(text, end, value);
   if (ec != std::errc() || ptr != end || text == end) {
-    std::fprintf(stderr, "%s: not an integer: '%s'\n", flag, text);
-    std::exit(2);
-  }
-  if (value < lo || value > hi) {
-    std::fprintf(stderr, "%s: value %ld out of range [%ld, %ld]\n", flag,
-                 value, lo, hi);
+    std::fprintf(stderr, "%s: %s: '%s'\n", flag,
+                 ec == std::errc::result_out_of_range ? "out of range"
+                                                      : "not an integer",
+                 text);
     std::exit(2);
   }
   return value;
-}
-
-// Construction itself lives in serve/candidates.cpp, shared with
-// boosting_served: both front ends must build byte-identical systems for
-// the served verdicts to match the CLI's.
-std::unique_ptr<ioa::System> buildCandidate(const Options& opt) {
-  std::string error;
-  auto sys = serve::buildCandidateSystem(opt.candidate, opt.n, opt.f, &error);
-  if (!sys) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    std::exit(2);
-  }
-  return sys;
 }
 
 // --replay: load a witness trace and report its shape, distinguishing an
@@ -187,6 +178,7 @@ void deriveSummaryMetrics(obs::Registry& reg) {
 
 int main(int argc, char** argv) {
   Options opt;
+  serve::AnalysisRequest& req = opt.request;
   for (int i = 1; i < argc; ++i) {
     auto needArg = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -196,39 +188,18 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--candidate") == 0) {
-      opt.candidate = needArg("--candidate");
+      req.candidate = needArg("--candidate");
     } else if (std::strcmp(argv[i], "--n") == 0) {
-      opt.n = static_cast<int>(parseIntOrDie("--n", needArg("--n"), 2, 20));
+      req.n = parseIntOrDie("--n", needArg("--n"));
     } else if (std::strcmp(argv[i], "--f") == 0) {
-      opt.f = static_cast<int>(parseIntOrDie("--f", needArg("--f"), 0, 19));
+      req.f = parseIntOrDie("--f", needArg("--f"));
     } else if (std::strcmp(argv[i], "--claim") == 0) {
-      opt.claim = static_cast<int>(
-          parseIntOrDie("--claim", needArg("--claim"), 1, 19));
+      req.claim = parseIntOrDie("--claim", needArg("--claim"));
     } else if (std::strcmp(argv[i], "--symmetry") == 0) {
-      const char* v = needArg("--symmetry");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.symmetry = analysis::SymmetryMode::Auto;
-      } else if (std::strcmp(v, "on") == 0) {
-        opt.symmetry = analysis::SymmetryMode::On;
-      } else if (std::strcmp(v, "off") == 0) {
-        opt.symmetry = analysis::SymmetryMode::Off;
-      } else {
-        std::fprintf(stderr, "--symmetry: expected auto|on|off, got '%s'\n",
-                     v);
-        std::exit(2);
-      }
+      dieOn(serve::parseMode("symmetry", needArg("--symmetry"),
+                             &req.symmetry));
     } else if (std::strcmp(argv[i], "--por") == 0) {
-      const char* v = needArg("--por");
-      if (std::strcmp(v, "auto") == 0) {
-        opt.por = analysis::PorMode::Auto;
-      } else if (std::strcmp(v, "on") == 0) {
-        opt.por = analysis::PorMode::On;
-      } else if (std::strcmp(v, "off") == 0) {
-        opt.por = analysis::PorMode::Off;
-      } else {
-        std::fprintf(stderr, "--por: expected auto|on|off, got '%s'\n", v);
-        std::exit(2);
-      }
+      dieOn(serve::parseMode("por", needArg("--por"), &req.por));
     } else if (std::strcmp(argv[i], "--brute") == 0) {
       opt.brute = true;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
@@ -251,21 +222,7 @@ int main(int argc, char** argv) {
 
   if (!opt.replayPath.empty()) return replayTrace(opt.replayPath);
 
-  // Cross-field domain validation, naming the offending flag.
-  if (opt.f >= opt.n) {
-    std::fprintf(stderr,
-                 "--f: service resilience %d must be smaller than --n %d\n",
-                 opt.f, opt.n);
-    return 2;
-  }
-  if (opt.claim < 0) opt.claim = opt.f + 1;
-  if (opt.claim >= opt.n) {
-    std::fprintf(stderr,
-                 "--claim: claimed failures %d must be smaller than --n %d "
-                 "(the theorems assume f+1 <= n-1)\n",
-                 opt.claim, opt.n);
-    return 2;
-  }
+  dieOn(serve::checkRequest(req));
   // Observability: one registry for the whole invocation. A null registry
   // pointer downstream disables all collection, so only wire it when some
   // output was requested.
@@ -290,15 +247,22 @@ int main(int argc, char** argv) {
     });
   }
 
-  auto sys = buildCandidate(opt);
+  std::string buildError;
+  const auto sys =
+      serve::buildCandidateSystem(req.candidate, req.n, req.f, &buildError);
+  if (!sys) {
+    std::fprintf(stderr, "--candidate: %s\n", buildError.c_str());
+    return 2;
+  }
   std::printf("candidate '%s': n=%d, service resilience f=%d, claimed to "
               "tolerate %d failures\n",
-              opt.candidate.c_str(), opt.n, opt.f, opt.claim);
+              req.candidate.c_str(), req.n, req.f, req.claimedFailures());
 
   const ioa::StatePerfCounters perfBefore = ioa::statePerfSnapshot();
 
   if (opt.brute) {
-    auto report = analysis::searchTerminationCounterexample(*sys, opt.claim);
+    auto report =
+        analysis::searchTerminationCounterexample(*sys, req.claimedFailures());
     if (!opt.metricsJsonPath.empty()) {
       deriveSummaryMetrics(registry);
       registry.writeMetricsJson(opt.metricsJsonPath, "boosting_analyze");
@@ -323,12 +287,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  analysis::AdversaryConfig cfg;
-  cfg.claimedFailures = opt.claim;
-  cfg.exemptFailureAware = true;
+  analysis::AdversaryConfig cfg = serve::adversaryConfig(req);
   cfg.exploration.metrics = reg;
-  cfg.symmetry = opt.symmetry;
-  cfg.por = opt.por;
   auto report = analysis::analyzeConsensusCandidate(*sys, cfg);
 
   if (reg) {
@@ -366,7 +326,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     report.symmetryOrbitsCollapsed),
                 report.statesExplored);
-  } else if (opt.symmetry == analysis::SymmetryMode::On) {
+  } else if (req.symmetry == analysis::SymmetryMode::Auto) {
     std::printf("symmetry: not applied (%s)\n",
                 report.symmetryNote.c_str());
   }
@@ -376,7 +336,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.porNodesReduced),
                 static_cast<unsigned long long>(report.porTasksSkipped),
                 static_cast<unsigned long long>(report.porProvisoHits));
-  } else if (opt.por == analysis::PorMode::On) {
+  } else if (req.por == analysis::PorMode::Auto) {
     std::printf("por: not applied (%s)\n", report.porNote.c_str());
   }
 
@@ -385,19 +345,20 @@ int main(int argc, char** argv) {
     std::printf("witness written to %s\n", opt.witnessPath.c_str());
   }
   if (!opt.dotPath.empty() && report.bivalentInit) {
+    // Rebuild the graph the analysis explored: the same policies and the
+    // same phase order, so node ids match the printed hook.
     analysis::StateGraph g(
-        *sys, analysis::SymmetryPolicy::forSystem(*sys, opt.symmetry));
+        *sys, analysis::SymmetryPolicy::forSystem(*sys, cfg.symmetry),
+        analysis::PorPolicy::forSystem(*sys, cfg.por));
     analysis::ValenceAnalyzer va(g);
-    analysis::NodeId init = g.intern(analysis::canonicalInitialization(
-        *sys, report.bivalentInit->onesPrefix));
-    auto outcome = analysis::findHook(g, va, init);
+    const analysis::NodeId init =
+        analysis::findBivalentInitialization(g, va).bivalent->node;
     analysis::DotOptions dotOpts;
     dotOpts.maxNodes = 250;
-    dotOpts.highlightHook = outcome.hook;
+    dotOpts.highlightHook =
+        analysis::findHook(g, va, init, cfg.hookMaxIterations).hook;
     std::ofstream(opt.dotPath) << analysis::exportDot(g, va, init, dotOpts);
     std::printf("graph written to %s\n", opt.dotPath.c_str());
   }
-  return report.verdict == analysis::AdversaryReport::Verdict::Inconclusive
-             ? 1
-             : 0;
+  return serve::exitCodeFor(report);
 }
