@@ -208,7 +208,8 @@ std::string AdversaryReport::summary() const {
 }
 
 AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
-                                          const AdversaryConfig& cfg) {
+                                          const AdversaryConfig& cfg,
+                                          const AnalysisInspector& inspect) {
   AdversaryReport report;
   if (cfg.claimedFailures < 1 || cfg.claimedFailures >= sys.processCount()) {
     throw std::logic_error(
@@ -225,11 +226,12 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
   report.porReduced = g.porActive();
   if (!report.porReduced) report.porNote = por->disabledReason();
 
+  ValenceAnalyzer va(g);
+  va.setPolicy(cfg.exploration);
+
   // The case analysis runs in an immediately-invoked closure so the
   // quotient statistics after it are collected on every return path.
   [&] {
-  ValenceAnalyzer va(g);
-  va.setPolicy(cfg.exploration);
   obs::Registry* reg = cfg.exploration.metrics;
 
   // RAII: the graph- and cache-level tallies reach the registry on every
@@ -488,6 +490,7 @@ AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
     report.porTasksSkipped = por->tasksSkipped();
     report.porProvisoHits = por->provisoHits();
   }
+  if (inspect) inspect(g, va, report);
   return report;
 }
 

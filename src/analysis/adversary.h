@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -124,8 +125,14 @@ struct AdversaryReport {
   std::string summary() const;
 };
 
-AdversaryReport analyzeConsensusCandidate(const ioa::System& sys,
-                                          const AdversaryConfig& cfg);
+// Called once, after the report is complete and before the explored graph
+// G(C) and its valence analysis are torn down (e.g. to render the graph).
+using AnalysisInspector = std::function<void(
+    StateGraph& g, ValenceAnalyzer& va, const AdversaryReport& report)>;
+
+AdversaryReport analyzeConsensusCandidate(
+    const ioa::System& sys, const AdversaryConfig& cfg,
+    const AnalysisInspector& inspect = nullptr);
 
 // Brute-force complement to the proof-guided engine: enumerate every
 // failure set of size 1..maxFailures and every canonical initialization,

@@ -39,12 +39,8 @@ std::uint64_t mulSaturating(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
-void addSaturating(std::atomic<std::uint64_t>& counter, std::uint64_t v) {
-  std::uint64_t cur = counter.load(std::memory_order_relaxed);
-  while (!counter.compare_exchange_weak(
-      cur, cur > UINT64_MAX - v ? UINT64_MAX : cur + v,
-      std::memory_order_relaxed)) {
-  }
+std::uint64_t addSaturating(std::uint64_t a, std::uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
 
 // The minimization behind one canonicalize() call.
@@ -438,18 +434,17 @@ ioa::Action SymmetryPolicy::relabelAction(const ioa::Action& a,
 std::optional<SymmetryPolicy::CanonResult> SymmetryPolicy::canonicalize(
     const ioa::SystemState& s) const {
   if (trivial_) return std::nullopt;
-  statesRaw_.fetch_add(1, std::memory_order_relaxed);
+  ++statesRaw_;
   s.hash();  // flush the per-slot caches the candidate keys reuse
 
   OrbitMinimizer m(*sys_, s);
   m.minimize();
   std::optional<ioa::SystemState> rep = m.representative();
-  addSaturating(candidatePerms_, m.candidatePerms);
-  candidatesEvaluated_.fetch_add(m.candidatesEvaluated,
-                                 std::memory_order_relaxed);
-  slotRelabels_.fetch_add(m.slotRelabels, std::memory_order_relaxed);
+  candidatePerms_ = addSaturating(candidatePerms_, m.candidatePerms);
+  candidatesEvaluated_ += m.candidatesEvaluated;
+  slotRelabels_ += m.slotRelabels;
   if (!rep) return std::nullopt;
-  orbitsCollapsed_.fetch_add(1, std::memory_order_relaxed);
+  ++orbitsCollapsed_;
   return CanonResult{std::move(*rep), m.bestPerm()};
 }
 

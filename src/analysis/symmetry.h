@@ -54,12 +54,12 @@
 // executions by accumulating the canonicalization permutations along the
 // path (see adversary.cpp).
 //
-// Thread safety: const-after-construction; canonicalize() may be called
-// concurrently (statistics are relaxed atomics). The policy borrows the
-// System, which must outlive it.
+// Thread safety: none. A policy is built per analysis and used by that
+// analysis's one exploring thread; canonicalize() bumps the statistics
+// without synchronization. The policy borrows the System, which must
+// outlive it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -122,29 +122,19 @@ class SymmetryPolicy {
                                       const std::vector<int>& inner);
   static std::vector<int> invertPerm(const std::vector<int>& p);
 
-  // -- Quotient statistics (relaxed; flushed by flushGraphMetrics) --------
+  // -- Quotient statistics (flushed by flushGraphMetrics) -----------------
   // States presented for canonicalization (== intern probes).
-  std::uint64_t statesRaw() const {
-    return statesRaw_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t statesRaw() const { return statesRaw_; }
   // Probes whose state was replaced by a different orbit representative.
-  std::uint64_t orbitsCollapsed() const {
-    return orbitsCollapsed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t orbitsCollapsed() const { return orbitsCollapsed_; }
   // Minimization cost: the permutations the full enumeration would relabel
   // (the product of the tied-block factorials), the ones actually
   // walked after duplicate skipping, and the component relabelings
   // (relabeledState calls) spent. orbitsCollapsed <= candidatesEvaluated
   // <= candidatePerms.
-  std::uint64_t candidatePerms() const {
-    return candidatePerms_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t candidatesEvaluated() const {
-    return candidatesEvaluated_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slotRelabels() const {
-    return slotRelabels_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t candidatePerms() const { return candidatePerms_; }
+  std::uint64_t candidatesEvaluated() const { return candidatesEvaluated_; }
+  std::uint64_t slotRelabels() const { return slotRelabels_; }
 
  private:
   SymmetryPolicy() = default;
@@ -154,11 +144,11 @@ class SymmetryPolicy {
   std::string disabledReason_;
   int n_ = 0;
 
-  mutable std::atomic<std::uint64_t> statesRaw_{0};
-  mutable std::atomic<std::uint64_t> orbitsCollapsed_{0};
-  mutable std::atomic<std::uint64_t> candidatePerms_{0};
-  mutable std::atomic<std::uint64_t> candidatesEvaluated_{0};
-  mutable std::atomic<std::uint64_t> slotRelabels_{0};
+  mutable std::uint64_t statesRaw_ = 0;
+  mutable std::uint64_t orbitsCollapsed_ = 0;
+  mutable std::uint64_t candidatePerms_ = 0;
+  mutable std::uint64_t candidatesEvaluated_ = 0;
+  mutable std::uint64_t slotRelabels_ = 0;
 };
 
 }  // namespace boosting::analysis

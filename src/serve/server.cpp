@@ -412,13 +412,9 @@ class Server {
     const std::string op = getStr(req, "op");
     if (op == "submit") {
       handleSubmit(c, req);
-    } else if (op == "cancel" || op == "pause" || op == "resume") {
+    } else if (op == "cancel") {
       const std::string id = getStr(req, "id");
-      bool ok = false;
-      if (op == "cancel") ok = service_.cancel(id);
-      if (op == "pause") ok = service_.pause(id);
-      if (op == "resume") ok = service_.resume(id);
-      if (ok) {
+      if (service_.cancel(id)) {
         WireObject o;
         o["ev"] = WireValue::ofStr("ack");
         o["op"] = WireValue::ofStr(op);
@@ -436,7 +432,6 @@ class Server {
         o["id"] = WireValue::ofStr(j.id);
         o["candidate"] = WireValue::ofStr(j.candidate);
         o["state"] = WireValue::ofStr(jobStateName(j.state));
-        o["paused"] = WireValue::ofBool(j.paused);
         o["priority"] = WireValue::ofInt(j.priority);
         writeLine(*c, o);
         if (j.state == JobState::Queued) ++queued;

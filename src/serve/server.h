@@ -2,7 +2,7 @@
 // loop speaking the line-delimited flat-JSON protocol (serve/wire.h) over
 // any mix of stdio, local TCP and unix-domain listeners, driving one
 // AnalysisService between poll timeouts (each loop iteration is one
-// scheduler tick).
+// service tick).
 //
 // Protocol (one request object per line; every reply is one event object
 // per line, discriminated by "ev"):
@@ -17,7 +17,7 @@
 //       -> {"ev":"result","id":"j1","status":"done","summary":...,
 //           "states":N,"witness_actions":N,"cache":"warm|cold|bypass",
 //           "wall_ms":...,"exit_code":0|1[,"witness":...][,"error":...]}
-//   {"op":"cancel","id":"j1"} / {"op":"pause",...} / {"op":"resume",...}
+//   {"op":"cancel","id":"j1"}
 //       -> {"ev":"ack","op":"cancel","id":"j1"} or {"ev":"error",...}
 //   {"op":"status"}   -> one {"ev":"job",...} line per live job, then
 //                        {"ev":"status","live":N,"queued":N,"running":N}
@@ -71,7 +71,7 @@ struct ServerConfig {
   // Accepted-submit cap (0 = unlimited). Once reached, further submits are
   // rejected; the server exits after the last accepted job finishes.
   std::uint64_t maxJobs = 0;
-  int tickMs = 10;  // poll timeout == scheduler tick interval
+  int tickMs = 10;  // poll timeout == service tick interval
   obs::Registry* metrics = nullptr;
   std::string metricsJsonPath;  // written on exit when non-empty
 };

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -20,6 +21,17 @@ constexpr std::uint64_t kProgressStride = 2048;
 
 }  // namespace
 
+const char* jobStateName(JobState s) {
+  switch (s) {
+    case JobState::Queued: return "queued";
+    case JobState::Running: return "running";
+    case JobState::Done: return "done";
+    case JobState::Failed: return "failed";
+    case JobState::Cancelled: return "cancelled";
+  }
+  return "?";
+}
+
 const char* cacheOutcomeName(CacheOutcome c) {
   switch (c) {
     case CacheOutcome::Cold: return "cold";
@@ -30,15 +42,13 @@ const char* cacheOutcomeName(CacheOutcome c) {
 }
 
 AnalysisService::AnalysisService(Config cfg)
-    : cfg_(cfg),
-      pool_(cfg.cacheContexts),
-      sched_(TickScheduler::Config{cfg.maxConcurrent == 0
-                                       ? 1u
-                                       : cfg.maxConcurrent}) {}
+    : cfg_(cfg), pool_(cfg.cacheContexts) {
+  cfg_.maxConcurrent = std::max(cfg_.maxConcurrent, 1u);
+}
 
 AnalysisService::~AnalysisService() {
-  // Workers reference service members (progress queue, records); make sure
-  // none survive into member destruction.
+  // Workers reference service members (progress queue, their table
+  // entries); make sure none survive into member destruction.
   cancelAll();
   drain();
 }
@@ -47,26 +57,16 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
                                                    OnResult onResult,
                                                    OnProgress onProgress) {
   if (spec.id.empty()) return "id: required";
-  if (byClientId_.count(spec.id)) {
+  if (jobs_.count(spec.id)) {
     return "id: '" + spec.id + "' is already a live job";
   }
   if (auto error = checkRequest(spec.request)) return error;
 
-  auto rec = std::make_unique<JobRecord>();
-  rec->spec = spec;
-  rec->onResult = std::move(onResult);
-  rec->onProgress = std::move(onProgress);
-  JobRecord* raw = rec.get();
-  const std::uint64_t schedId = sched_.submit(
-      spec.id, spec.priority,
-      [this, raw](JobControl& ctl) { runJob(*raw, ctl); },
-      [this](std::uint64_t id, JobState final, const std::string& error) {
-        finishJob(id, final, error);
-      });
-  rec->schedId = schedId;
-  records_.emplace(schedId, std::move(rec));
-  byClientId_.emplace(spec.id, schedId);
-  ++submitted_;
+  Job& job = jobs_.try_emplace(spec.id).first->second;
+  job.spec = spec;
+  job.onResult = std::move(onResult);
+  job.onProgress = std::move(onProgress);
+  job.seq = ++submitted_;
   if (cfg_.metrics) {
     cfg_.metrics->add("serve.jobs.submitted");
     if (auto* tw = cfg_.metrics->trace()) {
@@ -80,8 +80,29 @@ std::optional<std::string> AnalysisService::submit(const JobSpec& spec,
   return std::nullopt;
 }
 
-void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
-  const JobSpec& spec = rec.spec;
+void AnalysisService::dispatch(Job& job) {
+  job.state = JobState::Running;
+  job.worker = std::thread([this, &job] {
+    JobResult& result = job.result;
+    try {
+      runJob(job);
+      result.state = JobState::Done;
+    } catch (const JobCancelled&) {
+      result.state = JobState::Cancelled;
+    } catch (const std::exception& e) {
+      result.state = JobState::Failed;
+      result.error = e.what();
+    } catch (...) {
+      result.state = JobState::Failed;
+      result.error = "unknown exception";
+    }
+    job.finished.store(true, std::memory_order_release);
+  });
+}
+
+void AnalysisService::runJob(Job& job) {
+  const JobSpec& spec = job.spec;
+  JobResult& result = job.result;
   const AnalysisRequest& req = spec.request;
   obs::TraceWriter* tw = cfg_.metrics ? cfg_.metrics->trace() : nullptr;
   const auto start = std::chrono::steady_clock::now();
@@ -94,7 +115,7 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
                  std::chrono::steady_clock::now() - start)
                  .count();
     }
-  } wallGuard{start, &rec.result.wallMs};
+  } wallGuard{start, &result.wallMs};
 
   if (tw) tw->event("serve.job.start", {{"id", spec.id}});
 
@@ -111,123 +132,146 @@ void AnalysisService::runJob(JobRecord& rec, JobControl& ctl) {
   if (lease) {
     sys = &lease->system();
     memo = lease->memo();
-    rec.result.cache = lease->warm() ? CacheOutcome::Warm : CacheOutcome::Cold;
+    result.cache = lease->warm() ? CacheOutcome::Warm : CacheOutcome::Cold;
   } else {
     privateSys = buildCandidateSystem(req.candidate, req.n, req.f, &buildError);
     if (!privateSys) throw std::runtime_error(buildError);
     sys = privateSys.get();
-    rec.result.cache = cfg_.cacheContexts == 0 ? CacheOutcome::Cold
-                                               : CacheOutcome::Bypass;
+    result.cache = cfg_.cacheContexts == 0 ? CacheOutcome::Cold
+                                           : CacheOutcome::Bypass;
   }
 
   analysis::AdversaryConfig acfg = adversaryConfig(req);
   acfg.exploration.metrics = cfg_.metrics;
   acfg.memo = memo;
-  // Cooperative seam: cancellation/pause ride the engines' per-expansion
+  // Cooperative seam: cancellation rides the engines' per-expansion
   // hook; progress is rate-limited and handed to the driving thread via
   // the queue (client callbacks never fire on a worker). The counter is
   // ours because the hook's argument restarts per exploration phase.
-  std::atomic<std::uint64_t> expansions{0};
-  const std::uint64_t schedId = rec.schedId;
-  const bool wantProgress = spec.progress;
-  acfg.exploration.expansionHook = [this, &ctl, &expansions, schedId,
-                                    wantProgress, tw,
-                                    &spec](std::size_t) {
-    ctl.checkpoint();
-    const std::uint64_t c =
-        expansions.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (wantProgress && c % kProgressStride == 0) {
+  std::uint64_t expansions = 0;
+  acfg.exploration.expansionHook = [this, &job, &expansions,
+                                    tw](std::size_t) {
+    if (job.cancel.load(std::memory_order_relaxed)) throw JobCancelled();
+    const std::uint64_t c = ++expansions;
+    if (job.spec.progress && c % kProgressStride == 0) {
       {
         std::lock_guard<std::mutex> lock(progressM_);
-        progressQ_.emplace_back(schedId, c);
+        progressQ_.emplace_back(job.spec.id, job.seq, c);
       }
       if (tw) {
-        tw->event("serve.job.progress", {{"id", spec.id}, {"expansions", c}});
+        tw->event("serve.job.progress",
+                  {{"id", job.spec.id}, {"expansions", c}});
       }
     }
   };
 
   auto report = analysis::analyzeConsensusCandidate(*sys, acfg);
 
-  rec.result.summary = report.summary();
-  rec.result.states = report.statesExplored;
-  rec.result.witnessActions = report.witness.size();
+  result.summary = report.summary();
+  result.states = report.statesExplored;
+  result.witnessActions = report.witness.size();
   if (spec.wantWitness && !report.witness.empty()) {
-    rec.result.witness = sim::renderExecution(report.witness);
+    result.witness = sim::renderExecution(report.witness);
   }
-  rec.result.exitCode = exitCodeFor(report);
+  result.exitCode = exitCodeFor(report);
 }
 
-void AnalysisService::finishJob(std::uint64_t schedId, JobState final,
-                                const std::string& error) {
-  auto it = records_.find(schedId);
-  if (it == records_.end()) return;
-  JobRecord& rec = *it->second;
-  rec.result.id = rec.spec.id;
-  rec.result.state = final;
-  rec.result.error = error;
-  if (cfg_.metrics) {
-    switch (final) {
-      case JobState::Done:
-        cfg_.metrics->add("serve.jobs.completed");
-        break;
-      case JobState::Failed:
-        cfg_.metrics->add("serve.jobs.failed");
-        break;
-      case JobState::Cancelled:
-        cfg_.metrics->add("serve.jobs.cancelled");
-        break;
-      default:
-        break;
-    }
-    if (auto* tw = cfg_.metrics->trace()) {
-      tw->event("serve.job.finish",
-                {{"id", rec.spec.id}, {"state", jobStateName(final)},
-                 {"cache", cacheOutcomeName(rec.result.cache)},
-                 {"wall_ms", rec.result.wallMs},
-                 {"states", static_cast<std::uint64_t>(rec.result.states)}});
-    }
+void AnalysisService::finishJob(Job& job) {
+  JobResult& result = job.result;
+  result.id = job.spec.id;
+  if (!cfg_.metrics) return;
+  switch (result.state) {
+    case JobState::Done:
+      cfg_.metrics->add("serve.jobs.completed");
+      break;
+    case JobState::Failed:
+      cfg_.metrics->add("serve.jobs.failed");
+      break;
+    case JobState::Cancelled:
+      cfg_.metrics->add("serve.jobs.cancelled");
+      break;
+    default:
+      break;
   }
-  OnResult cb = std::move(rec.onResult);
-  JobResult result = std::move(rec.result);
-  byClientId_.erase(rec.spec.id);
-  records_.erase(it);
-  if (cb) cb(result);
+  if (auto* tw = cfg_.metrics->trace()) {
+    tw->event("serve.job.finish",
+              {{"id", job.spec.id}, {"state", jobStateName(result.state)},
+               {"cache", cacheOutcomeName(result.cache)},
+               {"wall_ms", result.wallMs},
+               {"states", static_cast<std::uint64_t>(result.states)}});
+  }
 }
 
 bool AnalysisService::cancel(const std::string& id) {
-  auto it = byClientId_.find(id);
-  return it != byClientId_.end() && sched_.cancel(it->second);
-}
-
-bool AnalysisService::pause(const std::string& id) {
-  auto it = byClientId_.find(id);
-  return it != byClientId_.end() && sched_.pause(it->second);
-}
-
-bool AnalysisService::resume(const std::string& id) {
-  auto it = byClientId_.find(id);
-  return it != byClientId_.end() && sched_.resume(it->second);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return false;
+  it->second.cancel.store(true, std::memory_order_relaxed);
+  return true;
 }
 
 std::size_t AnalysisService::tick() {
   if (cfg_.metrics) cfg_.metrics->add("serve.ticks");
-  // Deliver progress before reaping so a job's progress precedes its
-  // result; entries for already-finished jobs drop harmlessly.
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> q;
+  // (1) Progress before reaping, so a job's progress precedes its result;
+  // events of a job that is gone (or whose id now names a newer job)
+  // drop.
+  std::deque<ProgressEvent> q;
   {
     std::lock_guard<std::mutex> lock(progressM_);
     q.swap(progressQ_);
   }
-  for (const auto& [schedId, count] : q) {
-    auto it = records_.find(schedId);
-    if (it != records_.end() && it->second->onProgress) {
-      it->second->onProgress(it->second->spec.id, count);
+  for (const auto& [id, seq, count] : q) {
+    auto it = jobs_.find(id);
+    if (it != jobs_.end() && it->second.seq == seq &&
+        it->second.onProgress) {
+      it->second.onProgress(id, count);
     }
   }
-  const std::size_t live = sched_.tick();
+
+  // (2) Reap finished workers and (3) finalize jobs cancelled while
+  // queued; both leave the table. Callbacks wait for (5): one may submit.
+  std::vector<std::pair<OnResult, JobResult>> finished;
+  std::vector<Job*> queued;
+  std::size_t running = 0;
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    Job& job = it->second;
+    if (job.state == JobState::Running &&
+        job.finished.load(std::memory_order_acquire)) {
+      job.worker.join();
+    } else if (job.state == JobState::Queued &&
+               job.cancel.load(std::memory_order_relaxed)) {
+      job.result.state = JobState::Cancelled;
+    } else {
+      if (job.state == JobState::Running) ++running;
+      if (job.state == JobState::Queued) queued.push_back(&job);
+      ++it;
+      continue;
+    }
+    finishJob(job);
+    finished.emplace_back(std::move(job.onResult), std::move(job.result));
+    it = jobs_.erase(it);
+  }
+
+  // (4) Dispatch: highest priority first, submission order within one.
+  if (running < cfg_.maxConcurrent) {
+    std::sort(queued.begin(), queued.end(), [](const Job* a, const Job* b) {
+      if (a->spec.priority != b->spec.priority) {
+        return a->spec.priority > b->spec.priority;
+      }
+      return a->seq < b->seq;
+    });
+    for (Job* job : queued) {
+      if (running == cfg_.maxConcurrent) break;
+      dispatch(*job);
+      ++running;
+    }
+  }
   flushCacheCounters();
-  return live;
+
+  // (5) Results, each exactly once.
+  for (auto& [onResult, result] : finished) {
+    if (onResult) onResult(result);
+  }
+  return jobs_.size();
 }
 
 void AnalysisService::drain() {
@@ -236,18 +280,18 @@ void AnalysisService::drain() {
   }
 }
 
-void AnalysisService::cancelAll() { sched_.cancelAll(); }
+void AnalysisService::cancelAll() {
+  for (auto& [id, job] : jobs_) {
+    job.cancel.store(true, std::memory_order_relaxed);
+  }
+}
 
 std::vector<AnalysisService::JobStatus> AnalysisService::liveJobs() const {
   std::vector<JobStatus> out;
-  for (const auto& [schedId, rec] : records_) {
-    JobSnapshot snap;
-    if (!sched_.snapshot(schedId, &snap)) continue;
-    if (snap.state != JobState::Queued && snap.state != JobState::Running) {
-      continue;  // reaped at the next tick
-    }
-    out.push_back(JobStatus{rec->spec.id, rec->spec.request.candidate,
-                            snap.state, snap.paused, rec->spec.priority});
+  out.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) {
+    out.push_back(JobStatus{id, job.spec.request.candidate, job.state,
+                            job.spec.priority});
   }
   return out;
 }

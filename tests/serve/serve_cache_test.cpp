@@ -15,7 +15,7 @@
 #include "analysis/explore.h"
 #include "analysis/state_graph.h"
 #include "serve/candidates.h"
-#include "serve/scheduler.h"
+#include "serve/service.h"
 #include "sim/trace_io.h"
 
 namespace boosting::serve {

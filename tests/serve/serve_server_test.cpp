@@ -1,5 +1,6 @@
 // Transport-level tests of boosting_served's event loop, driven in-process
-// over a unix-domain socket: input is bounded per line.
+// over a unix-domain socket: input is bounded per line, and ops outside
+// the protocol grammar are answered with an error.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -64,15 +65,22 @@ std::string readUntilClose(int fd, bool* closed) {
   }
 }
 
-TEST(ServeServer, OversizedLineGetsAnErrorAndTheConnectionCloses) {
-  const std::string path = testing::TempDir() + "/serve_server_test." +
-                           std::to_string(::getpid()) + ".sock";
+// A server listening only on a fresh unix socket named after `tag`.
+ServerConfig unixServer(const std::string& tag, std::string* path) {
+  *path = testing::TempDir() + "/serve_server_test." + tag + "." +
+          std::to_string(::getpid()) + ".sock";
   ServerConfig cfg;
   ListenSpec listen;
   listen.kind = ListenSpec::Kind::Unix;
-  listen.path = path;
+  listen.path = *path;
   cfg.listens.push_back(listen);
   cfg.tickMs = 1;
+  return cfg;
+}
+
+TEST(ServeServer, OversizedLineGetsAnErrorAndTheConnectionCloses) {
+  std::string path;
+  const ServerConfig cfg = unixServer("oversized", &path);
   int rc = -1;
   // jthread: an early ASSERT return still joins (the server exits on its
   // own when it could not listen).
@@ -99,6 +107,45 @@ TEST(ServeServer, OversizedLineGetsAnErrorAndTheConnectionCloses) {
   const std::string ctlReply = readUntilClose(ctl, &closed);
   ::close(ctl);
   EXPECT_NE(ctlReply.find("\"ev\":\"pong\""), std::string::npos) << ctlReply;
+  server.join();
+  EXPECT_EQ(rc, 0);
+}
+
+TEST(ServeServer, PauseAndResumeAreUnknownOps) {
+  std::string path;
+  const ServerConfig cfg = unixServer("ops", &path);
+  int rc = -1;
+  std::jthread server([&] { rc = runServer(cfg); });
+
+  const int fd = connectUnix(path);
+  ASSERT_GE(fd, 0) << "cannot connect to " << path;
+  sendAll(fd,
+          "{\"op\":\"submit\",\"id\":\"x\",\"candidate\":\"relay\","
+          "\"n\":3,\"f\":1}\n"
+          "{\"op\":\"status\"}\n"
+          "{\"op\":\"pause\",\"id\":\"x\"}\n"
+          "{\"op\":\"resume\",\"id\":\"x\"}\n"
+          "{\"op\":\"shutdown\"}\n");
+  bool closed = false;
+  const std::string reply = readUntilClose(fd, &closed);
+  ::close(fd);
+  EXPECT_TRUE(closed);
+  // The status job line carries no pause state.
+  EXPECT_NE(reply.find("{\"candidate\":\"relay\",\"ev\":\"job\",\"id\":\"x\","
+                       "\"priority\":0,\"state\":"),
+            std::string::npos)
+      << reply;
+  EXPECT_EQ(reply.find("paused"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("{\"error\":\"unknown op 'pause'\",\"ev\":\"error\"}\n"),
+            std::string::npos)
+      << reply;
+  EXPECT_NE(
+      reply.find("{\"error\":\"unknown op 'resume'\",\"ev\":\"error\"}\n"),
+      std::string::npos)
+      << reply;
+  // The job itself is untouched and drains before the server exits.
+  EXPECT_NE(reply.find("\"id\":\"x\",\"states\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"status\":\"done\""), std::string::npos) << reply;
   server.join();
   EXPECT_EQ(rc, 0);
 }

@@ -1,11 +1,16 @@
 // AnalysisService tests: submit-time validation (mirroring the CLI flag
 // diagnostics), end-to-end verdict equality with warm-cache reuse,
-// priority-ordered completion, and pre-dispatch cancellation.
+// priority-ordered completion, the concurrency bound, cancellation before
+// and during a run, failing jobs, follow-up submits from a result
+// callback, and the job table forgetting every finished job.
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.h"
@@ -110,6 +115,7 @@ TEST(ServeService, WarmJobMatchesColdJobByteForByte) {
             .has_value());
   }
   svc.drain();
+  EXPECT_TRUE(svc.liveJobs().empty());
   ASSERT_EQ(results.size(), 2u);
   const auto& cold = results[0];
   const auto& warm = results[1];
@@ -176,9 +182,140 @@ TEST(ServeService, HigherPriorityJobsFinishFirst) {
   };
   submit("low", -5);
   submit("high", 5);
+  submit("high2", 5);
   submit("mid", 0);
   svc.drain();
-  EXPECT_EQ(finished, (std::vector<std::string>{"high", "mid", "low"}));
+  EXPECT_EQ(finished,
+            (std::vector<std::string>{"high", "high2", "mid", "low"}));
+  EXPECT_TRUE(svc.liveJobs().empty());
+}
+
+std::size_t countIn(const std::vector<AnalysisService::JobStatus>& jobs,
+                    JobState state) {
+  return static_cast<std::size_t>(
+      std::count_if(jobs.begin(), jobs.end(),
+                    [state](const auto& j) { return j.state == state; }));
+}
+
+TEST(ServeService, BoundsRunningJobs) {
+  AnalysisService::Config cfg;
+  cfg.maxConcurrent = 2;
+  AnalysisService svc(cfg);
+  int done = 0;
+  for (const char* id : {"a", "b", "c", "d"}) {
+    ASSERT_FALSE(svc.submit(relaySpec(id),
+                            [&](const JobResult& r) {
+                              EXPECT_EQ(r.state, JobState::Done);
+                              ++done;
+                            })
+                     .has_value());
+  }
+  // The first tick dispatches exactly as many jobs as the bound allows.
+  svc.tick();
+  auto live = svc.liveJobs();
+  EXPECT_EQ(countIn(live, JobState::Running), 2u);
+  EXPECT_EQ(countIn(live, JobState::Queued), 2u);
+  while (svc.tick() != 0) {
+    EXPECT_LE(countIn(svc.liveJobs(), JobState::Running), 2u);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(done, 4);
+  EXPECT_TRUE(svc.liveJobs().empty());
+}
+
+TEST(ServeService, CancelledRunLeavesTheCacheWarmAndExact) {
+  // Reference: the same request run cold in a service of its own.
+  JobResult cold;
+  {
+    AnalysisService ref(AnalysisService::Config{});
+    auto spec = relaySpec("cold");
+    spec.request.n = 4;
+    spec.wantWitness = true;
+    ASSERT_FALSE(
+        ref.submit(spec, [&](const JobResult& r) { cold = r; }).has_value());
+    ref.drain();
+  }
+  ASSERT_EQ(cold.state, JobState::Done);
+  ASSERT_EQ(cold.cache, CacheOutcome::Cold);
+
+  AnalysisService svc(AnalysisService::Config{});
+  std::vector<JobResult> results;
+  auto spec = relaySpec("doomed");
+  spec.request.n = 4;
+  spec.wantWitness = true;
+  ASSERT_FALSE(
+      svc.submit(spec, [&](const JobResult& r) { results.push_back(r); })
+          .has_value());
+  svc.tick();  // dispatch: the job is running now
+  ASSERT_EQ(countIn(svc.liveJobs(), JobState::Running), 1u);
+  EXPECT_TRUE(svc.cancel("doomed"));
+  svc.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].state, JobState::Cancelled);
+
+  // The cancelled run leased the context and left its memo consistent: the
+  // next job for the same key starts warm and reports the cold verdict.
+  spec.id = "again";
+  ASSERT_FALSE(
+      svc.submit(spec, [&](const JobResult& r) { results.push_back(r); })
+          .has_value());
+  svc.drain();
+  ASSERT_EQ(results.size(), 2u);
+  const JobResult& warm = results[1];
+  EXPECT_EQ(warm.state, JobState::Done);
+  EXPECT_EQ(warm.cache, CacheOutcome::Warm);
+  EXPECT_EQ(warm.summary, cold.summary);
+  EXPECT_EQ(warm.states, cold.states);
+  EXPECT_EQ(warm.witnessActions, cold.witnessActions);
+  EXPECT_EQ(warm.witness, cold.witness);
+  EXPECT_EQ(warm.exitCode, cold.exitCode);
+  EXPECT_TRUE(svc.liveJobs().empty());
+}
+
+TEST(ServeService, ResultCallbackMaySubmitAFollowUp) {
+  AnalysisService svc(AnalysisService::Config{});
+  std::vector<JobResult> results;
+  AnalysisService::OnResult record = [&](const JobResult& r) {
+    results.push_back(r);
+  };
+  ASSERT_FALSE(svc.submit(relaySpec("first"),
+                          [&](const JobResult& r) {
+                            results.push_back(r);
+                            // The finished job is out of the table, so its
+                            // id is free for the follow-up.
+                            EXPECT_FALSE(
+                                svc.submit(relaySpec("first"), record)
+                                    .has_value());
+                          })
+                   .has_value());
+  svc.drain();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].state, JobState::Done);
+  EXPECT_EQ(results[1].state, JobState::Done);
+  EXPECT_EQ(results[1].id, "first");
+  EXPECT_EQ(results[1].summary, results[0].summary);
+  EXPECT_EQ(results[1].cache, CacheOutcome::Warm);
+  EXPECT_TRUE(svc.liveJobs().empty());
+}
+
+TEST(ServeService, FailingJobReportsItsError) {
+  // bridge n=2 passes checkRequest but its builder cannot place the
+  // bridge endpoint, so the job body throws.
+  AnalysisService svc(AnalysisService::Config{});
+  std::vector<JobResult> results;
+  auto spec = relaySpec("broken");
+  spec.request.candidate = "bridge";
+  spec.request.n = 2;
+  spec.request.f = 0;
+  ASSERT_FALSE(
+      svc.submit(spec, [&](const JobResult& r) { results.push_back(r); })
+          .has_value());
+  svc.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].state, JobState::Failed);
+  EXPECT_EQ(results[0].error,
+            "bridge endpoint must leave at least one reader after it");
+  EXPECT_TRUE(svc.liveJobs().empty());
 }
 
 TEST(ServeService, CancelBeforeFirstTickYieldsCancelledResult) {

@@ -59,7 +59,6 @@
 #include <string>
 
 #include "analysis/adversary.h"
-#include "analysis/bivalence.h"
 #include "analysis/dot_export.h"
 #include "analysis/metrics.h"
 #include "obs/progress.h"
@@ -289,7 +288,21 @@ int main(int argc, char** argv) {
 
   analysis::AdversaryConfig cfg = serve::adversaryConfig(req);
   cfg.exploration.metrics = reg;
-  auto report = analysis::analyzeConsensusCandidate(*sys, cfg);
+  // --dot draws the graph the analysis explored, so node ids match the
+  // printed hook.
+  std::string dot;
+  analysis::AnalysisInspector renderDot;
+  if (!opt.dotPath.empty()) {
+    renderDot = [&dot](analysis::StateGraph& g, analysis::ValenceAnalyzer& va,
+                       const analysis::AdversaryReport& r) {
+      if (!r.bivalentInit) return;
+      analysis::DotOptions dotOpts;
+      dotOpts.maxNodes = 250;
+      dotOpts.highlightHook = r.hook;
+      dot = analysis::exportDot(g, va, r.bivalentInit->node, dotOpts);
+    };
+  }
+  auto report = analysis::analyzeConsensusCandidate(*sys, cfg, renderDot);
 
   if (reg) {
     analysis::flushStatePerfDelta(reg, perfBefore, ioa::statePerfSnapshot());
@@ -344,20 +357,8 @@ int main(int argc, char** argv) {
     std::ofstream(opt.witnessPath) << sim::renderExecution(report.witness);
     std::printf("witness written to %s\n", opt.witnessPath.c_str());
   }
-  if (!opt.dotPath.empty() && report.bivalentInit) {
-    // Rebuild the graph the analysis explored: the same policies and the
-    // same phase order, so node ids match the printed hook.
-    analysis::StateGraph g(
-        *sys, analysis::SymmetryPolicy::forSystem(*sys, cfg.symmetry),
-        analysis::PorPolicy::forSystem(*sys, cfg.por));
-    analysis::ValenceAnalyzer va(g);
-    const analysis::NodeId init =
-        analysis::findBivalentInitialization(g, va).bivalent->node;
-    analysis::DotOptions dotOpts;
-    dotOpts.maxNodes = 250;
-    dotOpts.highlightHook =
-        analysis::findHook(g, va, init, cfg.hookMaxIterations).hook;
-    std::ofstream(opt.dotPath) << analysis::exportDot(g, va, init, dotOpts);
+  if (!dot.empty()) {
+    std::ofstream(opt.dotPath) << dot;
     std::printf("graph written to %s\n", opt.dotPath.c_str());
   }
   return serve::exitCodeFor(report);

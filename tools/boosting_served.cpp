@@ -2,7 +2,7 @@
 //
 // Accepts candidate-analysis jobs over line-delimited JSON (one flat
 // object per line) on stdio and/or local TCP / unix-domain listeners, runs
-// them on a cooperative tick scheduler with bounded concurrency, and
+// them on worker threads, at most --max-concurrent at a time, and
 // caches per-service-type substructure (built system, action pool, slot
 // canon table, transition memo) across jobs so repeat analyses start warm.
 // Verdict text is byte-identical to boosting_analyze for the same

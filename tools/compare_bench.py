@@ -166,7 +166,7 @@ def compare(baseline, fresh, tolerance):
         # Served-throughput gate (v7, one-sided: drops fail, gains pass).
         # verdicts_per_min is end-to-end through the resident server
         # (tools/serve_loadgen.py --mode throughput), so it covers the wire
-        # protocol, the tick scheduler and the cross-job cache at once.
+        # protocol, the job table and the cross-job cache at once.
         if gated(name, "verdicts_per_min", b, f, problems):
             bv, fv = b["verdicts_per_min"], f["verdicts_per_min"]
             ratio = fv / bv if bv else float("inf")
